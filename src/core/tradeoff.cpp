@@ -227,23 +227,11 @@ void TradeoffAnalyzer::sweep_into(std::span<const double> thresholds,
       config);
 }
 
-void TradeoffAnalyzer::set_sweep_cache_capacity(std::size_t capacity) const {
-  sweep_cache_.set_capacity(capacity);
-}
-
 std::vector<SystemOperatingPoint> TradeoffAnalyzer::sweep(
     const std::vector<double>& thresholds,
     const exec::Config& config) const {
-  if (sweep_cache_.enabled()) {
-    if (auto hit = sweep_cache_.find(thresholds)) {
-      HMDIV_OBS_COUNT("core.sweep.cache_hit", 1);
-      return *std::move(hit);
-    }
-    HMDIV_OBS_COUNT("core.sweep.cache_miss", 1);
-  }
   std::vector<SystemOperatingPoint> out(thresholds.size());
   sweep_into(thresholds, out, config);
-  if (sweep_cache_.enabled()) sweep_cache_.insert(thresholds, out);
   return out;
 }
 

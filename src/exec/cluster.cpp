@@ -169,6 +169,18 @@ ClusterRunner::ClusterRunner(ClusterOptions options)
   }
 }
 
+ClusterRunner::ClusterRunner(std::span<const int> fds, ClusterOptions options)
+    : options_(std::move(options)), local_(true) {
+  conns_.resize(fds.size());
+  for (std::size_t i = 0; i < fds.size(); ++i) {
+    Conn& conn = conns_[i];
+    conn.fd = fds[i];
+    conn.state = Conn::State::ready;
+    conn.stats.address = "shard " + std::to_string(i);
+    conn.stats.window = std::max(1u, options_.window);
+  }
+}
+
 ClusterRunner::~ClusterRunner() {
   for (Conn& conn : conns_) conn.close_fd();
 }
@@ -197,7 +209,6 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
   if (conns_.empty()) {
     throw ClusterError("cluster: no workers configured");
   }
-  const unsigned window = std::max(1u, options_.window);
   unsigned shards = resolved_shards();
   if (options_.shards == 0 && default_shard_count() <= 1 && items_hint > 0) {
     // Adaptive micro-shard count: enough small tasks that every worker's
@@ -215,9 +226,44 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
   }
   HMDIV_OBS_SCOPED_TIMER("exec.cluster.run_ns");
   HMDIV_OBS_COUNT("exec.cluster.runs", 1);
+  try {
+    std::vector<std::vector<std::uint8_t>> results =
+        dispatch(workload, blob, shards);
+    detail::set_cluster_worker_stats(worker_stats());
+    return results;
+  } catch (...) {
+    HMDIV_OBS_COUNT("exec.cluster.failures", 1);
+    // Mid-task streams cannot be resynced; drop them so a later run
+    // starts from a clean connection.
+    for (Conn& conn : conns_) {
+      if (!conn.inflight.empty()) conn.close_fd();
+    }
+    detail::set_cluster_worker_stats(worker_stats());
+    throw;
+  }
+}
+
+std::vector<std::vector<std::uint8_t>> ClusterRunner::dispatch(
+    std::string_view workload, std::span<const std::uint8_t> blob,
+    unsigned shards) {
+  const unsigned window = std::max(1u, options_.window);
   const bool ship_obs = obs::enabled();
   const unsigned threads =
       options_.threads ? options_.threads : default_config().threads;
+
+  // Scheduler metrics are named after the transport: a local fleet
+  // reports under exec.shard.*, a remote one under exec.cluster.*.
+  const std::string metric_prefix = local_ ? "exec.shard." : "exec.cluster.";
+  const auto count = [&](const char* name, std::uint64_t n) {
+    if (obs::enabled()) {
+      obs::Registry::global().counter(metric_prefix + name).add(n);
+    }
+  };
+  const auto record = [&](const char* name, std::uint64_t value) {
+    if (obs::enabled()) {
+      obs::Registry::global().histogram(metric_prefix + name).record(value);
+    }
+  };
 
   // Pending work in micro-shard units: dispatch slices task-sized spans
   // off the front, a sidelined worker's in-flight spans requeue at the
@@ -242,7 +288,7 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
   // Health, blob shipping, and re-admission are per-run; warm fds,
   // cumulative stats, and the speed EWMA persist across runs.
   for (Conn& conn : conns_) {
-    conn.healthy = !conn.host.empty();
+    conn.healthy = local_ || !conn.host.empty();
     conn.blob_sent = false;
     conn.readmit_armed = false;
     conn.probing = false;
@@ -260,7 +306,7 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
     last_failure = conn.stats.address + ": " + why;
     if (!conn.inflight.empty()) {
       conn.stats.retries += conn.inflight.size();
-      HMDIV_OBS_COUNT("exec.cluster.retries", conn.inflight.size());
+      count("retries", conn.inflight.size());
       for (auto it = conn.inflight.rbegin(); it != conn.inflight.rend();
            ++it) {
         pending.push_front(Span{it->id, it->id + it->span});
@@ -274,6 +320,20 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
       conn.readmit_armed = true;
       conn.readmit_at = Clock::now() + options_.readmit_after;
     }
+  };
+
+  // Failure policy, picked by transport. A local worker fails fast: the
+  // first failure ends the run with a ShardError naming the worker, and
+  // ShardRunner refines its kind from the wait status once the process is
+  // reaped. A remote worker is sidelined and its spans requeue.
+  const auto fail = [&](Conn& conn, ShardFailure::Kind kind, int code,
+                        std::string why) {
+    if (local_) {
+      throw ShardError(ShardFailure{
+          kind, static_cast<std::uint32_t>(&conn - conns_.data()), code,
+          std::move(why)});
+    }
+    sideline(conn, why);
   };
 
   const auto enter_upgrade = [&](Conn& conn) {
@@ -356,7 +416,7 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
     if (conn.probing) {
       conn.probing = false;
       conn.stats.readmitted += 1;
-      HMDIV_OBS_COUNT("exec.cluster.readmitted", 1);
+      count("readmitted", 1);
     }
   };
 
@@ -407,7 +467,7 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
     pending_micro -= take;
     for (std::uint32_t s = start; s < start + take; ++s) {
       if (last_conn[s] < conns_.size() && last_conn[s] != index) {
-        HMDIV_OBS_COUNT("exec.cluster.reassigned", 1);
+        count("reassigned", 1);
         break;
       }
     }
@@ -436,13 +496,9 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
     }
     conn.stats.inflight = static_cast<std::uint32_t>(conn.inflight.size());
     conn.stats.task_size = take;
-    if (obs::enabled()) {
-      auto& registry = obs::Registry::global();
-      registry.histogram("exec.cluster.inflight")
-          .record(conn.inflight.size());
-      registry.histogram("exec.cluster.queue_depth").record(pending_micro);
-      registry.histogram("exec.cluster.task_size").record(take);
-    }
+    record("inflight", conn.inflight.size());
+    record("queue_depth", pending_micro);
+    record("task_size", take);
   };
 
   // While any connect/upgrade is still pending, cap each ready worker's
@@ -489,6 +545,10 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
       try {
         obs::Registry::global().merge(obs::parse_snapshot(snapshot));
       } catch (const std::exception& e) {
+        if (local_) {
+          fail(conn, ShardFailure::Kind::protocol, 0,
+               std::string("bad obs frame: ") + e.what());
+        }
         throw ClusterError("cluster: " + conn.stats.address +
                            ": bad obs frame: " + e.what());
       }
@@ -500,13 +560,9 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
     payload_span[head.id] = head.span;
     completed += head.span;
     conn.stats.tasks += 1;
-    HMDIV_OBS_COUNT("exec.cluster.tasks", 1);
+    count("tasks", 1);
     const auto now = Clock::now();
-    if (obs::enabled()) {
-      obs::Registry::global()
-          .histogram("exec.cluster.rpc_ns")
-          .record(elapsed_ns(head.dispatched, now));
-    }
+    record("rpc_ns", elapsed_ns(head.dispatched, now));
     // Service time excludes time the task spent queued behind its
     // window-mates, so the EWMA measures worker speed, not pipeline depth.
     const auto service_start = conn.last_complete > head.dispatched
@@ -525,25 +581,25 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
     }
   };
 
-  // Drains every parsed frame; false when the connection was sidelined.
-  // Throws ClusterError on structured worker errors (deterministic
-  // failures reassignment cannot fix) — the caller lets those abort.
+  // Drains every parsed frame; false when the connection failed. A
+  // structured error frame is a deterministic workload failure no
+  // reassignment can fix, so it aborts the run on either transport.
   const auto process_frames = [&](Conn& conn) -> bool {
+    const auto protocol = [&](std::string why) {
+      fail(conn, ShardFailure::Kind::protocol, 0, std::move(why));
+      return false;
+    };
     while (auto frame = conn.parser.next()) {
       switch (frame->type) {
         case wire::FrameType::result:
           if (conn.inflight.empty() || conn.have_payload) {
-            sideline(conn, "unexpected result frame");
-            return false;
+            return protocol("unexpected result frame");
           }
           conn.cur_payload = std::move(frame->payload);
           conn.have_payload = true;
           break;
         case wire::FrameType::obs:
-          if (conn.inflight.empty()) {
-            sideline(conn, "unexpected obs frame");
-            return false;
-          }
+          if (conn.inflight.empty()) return protocol("unexpected obs frame");
           conn.cur_obs.push_back(std::move(frame->payload));
           break;
         case wire::FrameType::error: {
@@ -554,6 +610,7 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
           } catch (const wire::ProtocolError&) {
           }
           conn.stats.last_error = message;
+          if (local_) fail(conn, ShardFailure::Kind::worker, 0, message);
           throw ClusterError("cluster: " + conn.stats.address + ": " +
                              message);
         }
@@ -562,249 +619,249 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
           try {
             id = wire::parse_done(frame->payload);
           } catch (const wire::ProtocolError& e) {
-            sideline(conn, std::string("bad done frame: ") + e.what());
-            return false;
+            return protocol(std::string("bad done frame: ") + e.what());
           }
           if (conn.inflight.empty() || id != conn.inflight.front().id ||
               !conn.have_payload) {
-            sideline(conn, "done frame out of order (task " +
-                               std::to_string(id) + ")");
-            return false;
+            return protocol("done frame out of order (task " +
+                            std::to_string(id) + ")");
           }
           complete_head(conn);
           break;
         }
         case wire::FrameType::task:
-          sideline(conn, "unexpected task frame from worker");
-          return false;
+          return protocol("unexpected task frame from worker");
       }
     }
     return true;
   };
 
   std::uint8_t buffer[1 << 16];
-  try {
+  for (Conn& conn : conns_) {
+    if (conn.healthy && conn.state == Conn::State::closed) {
+      start_connect(conn);
+    }
+  }
+
+  while (completed < shards) {
     for (Conn& conn : conns_) {
-      if (conn.healthy && conn.state == Conn::State::closed) {
+      if (conn.readmit_armed && Clock::now() >= conn.readmit_at) {
+        conn.readmit_armed = false;
+        conn.readmitted_this_run = true;
+        conn.probing = true;
+        conn.healthy = true;
         start_connect(conn);
       }
     }
 
-    while (completed < shards) {
-      for (Conn& conn : conns_) {
-        if (conn.readmit_armed && Clock::now() >= conn.readmit_at) {
-          conn.readmit_armed = false;
-          conn.readmitted_this_run = true;
-          conn.probing = true;
-          conn.healthy = true;
-          start_connect(conn);
+    if (startup_fairness) {
+      bool pending_conn = false;
+      for (const Conn& conn : conns_) {
+        if (conn.state == Conn::State::connecting ||
+            conn.state == Conn::State::upgrading) {
+          pending_conn = true;
+          break;
         }
       }
+      if (!pending_conn) startup_fairness = false;
+    }
 
-      if (startup_fairness) {
-        bool pending_conn = false;
-        for (const Conn& conn : conns_) {
-          if (conn.state == Conn::State::connecting ||
-              conn.state == Conn::State::upgrading) {
-            pending_conn = true;
-            break;
+    fill_windows();
+
+    std::vector<pollfd> fds;
+    std::vector<std::size_t> owner;
+    int timeout = 60'000;
+    bool readmit_pending = false;
+    for (std::size_t i = 0; i < conns_.size(); ++i) {
+      Conn& conn = conns_[i];
+      if (conn.readmit_armed) {
+        readmit_pending = true;
+        timeout = std::min(timeout, remaining_ms(conn.readmit_at));
+      }
+      if (!conn.healthy || conn.state == Conn::State::closed) continue;
+      short events = 0;
+      switch (conn.state) {
+        case Conn::State::connecting:
+          events = POLLOUT;
+          timeout = std::min(timeout, remaining_ms(conn.conn_deadline));
+          break;
+        case Conn::State::upgrading:
+          events = POLLIN;
+          if (conn.upgrade_sent < kShardUpgradeLine.size()) {
+            events |= POLLOUT;
           }
-        }
-        if (!pending_conn) startup_fairness = false;
-      }
-
-      fill_windows();
-
-      std::vector<pollfd> fds;
-      std::vector<std::size_t> owner;
-      int timeout = 60'000;
-      bool readmit_pending = false;
-      for (std::size_t i = 0; i < conns_.size(); ++i) {
-        Conn& conn = conns_[i];
-        if (conn.readmit_armed) {
-          readmit_pending = true;
-          timeout = std::min(timeout, remaining_ms(conn.readmit_at));
-        }
-        if (!conn.healthy || conn.state == Conn::State::closed) continue;
-        short events = 0;
-        switch (conn.state) {
-          case Conn::State::connecting:
-            events = POLLOUT;
-            timeout = std::min(timeout, remaining_ms(conn.conn_deadline));
-            break;
-          case Conn::State::upgrading:
-            events = POLLIN;
-            if (conn.upgrade_sent < kShardUpgradeLine.size()) {
-              events |= POLLOUT;
-            }
-            timeout = std::min(timeout, remaining_ms(conn.conn_deadline));
-            break;
-          case Conn::State::ready:
-            if (conn.inflight.empty() && conn.sent >= conn.send_buf.size()) {
-              continue;  // idle warm connection: nothing expected
-            }
-            events = POLLIN;
-            if (conn.sent < conn.send_buf.size()) events |= POLLOUT;
-            if (!conn.inflight.empty()) {
-              timeout = std::min(timeout, remaining_ms(conn.head_deadline));
-            }
-            break;
-          case Conn::State::closed:
-            continue;
-        }
-        fds.push_back(pollfd{conn.fd, events, 0});
-        owner.push_back(i);
-      }
-      if (fds.empty()) {
-        if (readmit_pending) {
-          // Every worker is sidelined but a re-probe is scheduled: sleep
-          // out the shortest backoff instead of giving up.
-          if (timeout > 0) ::poll(nullptr, 0, timeout);
+          timeout = std::min(timeout, remaining_ms(conn.conn_deadline));
+          break;
+        case Conn::State::ready:
+          if (conn.inflight.empty() && conn.sent >= conn.send_buf.size()) {
+            continue;  // idle warm connection: nothing expected
+          }
+          events = POLLIN;
+          if (conn.sent < conn.send_buf.size()) events |= POLLOUT;
+          if (!conn.inflight.empty()) {
+            timeout = std::min(timeout, remaining_ms(conn.head_deadline));
+          }
+          break;
+        case Conn::State::closed:
           continue;
+      }
+      fds.push_back(pollfd{conn.fd, events, 0});
+      owner.push_back(i);
+    }
+    if (fds.empty()) {
+      if (readmit_pending) {
+        // Every worker is sidelined but a re-probe is scheduled: sleep
+        // out the shortest backoff instead of giving up.
+        if (timeout > 0) ::poll(nullptr, 0, timeout);
+        continue;
+      }
+      throw ClusterError(
+          "cluster: no healthy workers remain (" +
+          std::to_string(shards - completed) +
+          " micro-shards unfinished; last failure: " + last_failure +
+          ")");
+    }
+
+    const int ready = ::poll(fds.data(), fds.size(), timeout);
+    if (ready < 0 && errno != EINTR) {
+      const int error = errno;
+      const std::string why =
+          std::string("poll failed: ") + std::strerror(error);
+      if (local_) {
+        throw ShardError(
+            ShardFailure{ShardFailure::Kind::protocol, 0, error, why});
+      }
+      throw ClusterError("cluster: " + why);
+    }
+
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      Conn& conn = conns_[owner[i]];
+      if (!conn.healthy || conn.state == Conn::State::closed) continue;
+      const short revents = fds[i].revents;
+
+      if (conn.state == Conn::State::connecting) {
+        if (revents != 0) {
+          int so_error = 0;
+          socklen_t len = sizeof so_error;
+          if (::getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &so_error,
+                           &len) != 0) {
+            so_error = errno;
+          }
+          if (so_error != 0) {
+            sideline(conn, std::string("connect failed: ") +
+                               std::strerror(so_error));
+          } else {
+            enter_upgrade(conn);
+          }
+        } else if (Clock::now() >= conn.conn_deadline) {
+          sideline(conn, "connect timed out");
         }
-        throw ClusterError(
-            "cluster: no healthy workers remain (" +
-            std::to_string(shards - completed) +
-            " micro-shards unfinished; last failure: " + last_failure +
-            ")");
+        continue;
       }
 
-      const int ready = ::poll(fds.data(), fds.size(), timeout);
-      if (ready < 0 && errno != EINTR) {
-        throw ClusterError(std::string("cluster: poll failed: ") +
-                           std::strerror(errno));
-      }
-
-      for (std::size_t i = 0; i < fds.size(); ++i) {
-        Conn& conn = conns_[owner[i]];
-        if (!conn.healthy || conn.state == Conn::State::closed) continue;
-        const short revents = fds[i].revents;
-
-        if (conn.state == Conn::State::connecting) {
-          if (revents != 0) {
-            int so_error = 0;
-            socklen_t len = sizeof so_error;
-            if (::getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &so_error,
-                             &len) != 0) {
-              so_error = errno;
-            }
-            if (so_error != 0) {
-              sideline(conn, std::string("connect failed: ") +
-                                 std::strerror(so_error));
-            } else {
-              enter_upgrade(conn);
-            }
-          } else if (Clock::now() >= conn.conn_deadline) {
-            sideline(conn, "connect timed out");
-          }
-          continue;
-        }
-
-        if (conn.state == Conn::State::upgrading) {
-          if ((revents & POLLOUT) != 0 &&
-              conn.upgrade_sent < kShardUpgradeLine.size()) {
-            const ssize_t n = ::send(
-                conn.fd, kShardUpgradeLine.data() + conn.upgrade_sent,
-                kShardUpgradeLine.size() - conn.upgrade_sent, MSG_NOSIGNAL);
-            if (n < 0) {
-              if (errno != EAGAIN && errno != EWOULDBLOCK &&
-                  errno != EINTR) {
-                sideline(conn, "upgrade send failed");
-                continue;
-              }
-            } else {
-              conn.upgrade_sent += static_cast<std::size_t>(n);
-            }
-          }
-          if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-            const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
-            if (n > 0) {
-              conn.upgrade_line.append(reinterpret_cast<const char*>(buffer),
-                                       static_cast<std::size_t>(n));
-              const std::size_t newline = conn.upgrade_line.find('\n');
-              if (newline != std::string::npos) {
-                finish_upgrade(conn, newline);
-              } else if (conn.upgrade_line.size() > 4096) {
-                sideline(conn, "oversized upgrade response");
-              }
-            } else if (n == 0) {
-              sideline(conn, "closed during upgrade");
-            } else if (errno != EAGAIN && errno != EWOULDBLOCK &&
-                       errno != EINTR) {
-              sideline(conn, std::string("upgrade read failed: ") +
-                                 std::strerror(errno));
-            }
-          }
-          if (conn.state == Conn::State::upgrading &&
-              Clock::now() >= conn.conn_deadline) {
-            sideline(conn, "upgrade timed out");
-          }
-          continue;
-        }
-
-        // ready: pump pipelined task bytes out, drain reply frames in.
-        if ((revents & POLLOUT) != 0 && conn.sent < conn.send_buf.size()) {
-          const ssize_t n =
-              ::send(conn.fd, conn.send_buf.data() + conn.sent,
-                     conn.send_buf.size() - conn.sent, MSG_NOSIGNAL);
+      if (conn.state == Conn::State::upgrading) {
+        if ((revents & POLLOUT) != 0 &&
+            conn.upgrade_sent < kShardUpgradeLine.size()) {
+          const ssize_t n = ::send(
+              conn.fd, kShardUpgradeLine.data() + conn.upgrade_sent,
+              kShardUpgradeLine.size() - conn.upgrade_sent, MSG_NOSIGNAL);
           if (n < 0) {
-            if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-              sideline(conn, std::string("task send failed: ") +
-                                 std::strerror(errno));
+            if (errno != EAGAIN && errno != EWOULDBLOCK &&
+                errno != EINTR) {
+              sideline(conn, "upgrade send failed");
               continue;
             }
           } else {
-            conn.sent += static_cast<std::size_t>(n);
-            conn.stats.bytes_out += static_cast<std::uint64_t>(n);
-            HMDIV_OBS_COUNT("exec.cluster.bytes_out", n);
-            if (conn.sent == conn.send_buf.size()) {
-              conn.send_buf.clear();
-              conn.sent = 0;
-            }
+            conn.upgrade_sent += static_cast<std::size_t>(n);
           }
         }
-
-        if ((revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL)) != 0) {
+        if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
           const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
-          if (n < 0) {
-            if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-              sideline(conn, std::string("reply read failed: ") +
-                                 std::strerror(errno));
-              continue;
+          if (n > 0) {
+            conn.upgrade_line.append(reinterpret_cast<const char*>(buffer),
+                                     static_cast<std::size_t>(n));
+            const std::size_t newline = conn.upgrade_line.find('\n');
+            if (newline != std::string::npos) {
+              finish_upgrade(conn, newline);
+            } else if (conn.upgrade_line.size() > 4096) {
+              sideline(conn, "oversized upgrade response");
             }
           } else if (n == 0) {
-            sideline(conn, "connection closed by worker");
-            continue;
-          } else {
-            conn.stats.bytes_in += static_cast<std::uint64_t>(n);
-            HMDIV_OBS_COUNT("exec.cluster.bytes_in", n);
-            conn.parser.feed({buffer, static_cast<std::size_t>(n)});
-            try {
-              if (!process_frames(conn)) continue;
-            } catch (const wire::ProtocolError& e) {
-              sideline(conn, std::string("protocol error: ") + e.what());
-              continue;
-            }
+            sideline(conn, "closed during upgrade");
+          } else if (errno != EAGAIN && errno != EWOULDBLOCK &&
+                     errno != EINTR) {
+            sideline(conn, std::string("upgrade read failed: ") +
+                               std::strerror(errno));
           }
         }
+        if (conn.state == Conn::State::upgrading &&
+            Clock::now() >= conn.conn_deadline) {
+          sideline(conn, "upgrade timed out");
+        }
+        continue;
+      }
 
-        if (!conn.inflight.empty() && Clock::now() >= conn.head_deadline) {
-          sideline(conn, "task deadline expired");
+      // ready: pump pipelined task bytes out, drain reply frames in.
+      if ((revents & POLLOUT) != 0 && conn.sent < conn.send_buf.size()) {
+        const ssize_t n =
+            ::send(conn.fd, conn.send_buf.data() + conn.sent,
+                   conn.send_buf.size() - conn.sent, MSG_NOSIGNAL);
+        if (n < 0) {
+          if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+            fail(conn, ShardFailure::Kind::write, errno,
+                 std::string("task send failed: ") + std::strerror(errno));
+            continue;
+          }
+        } else {
+          conn.sent += static_cast<std::size_t>(n);
+          conn.stats.bytes_out += static_cast<std::uint64_t>(n);
+          count("bytes_out", static_cast<std::uint64_t>(n));
+          if (conn.sent == conn.send_buf.size()) {
+            conn.send_buf.clear();
+            conn.sent = 0;
+            // A local worker is never sent more once the queue is empty:
+            // half-close so it exits as soon as it has replied, and its
+            // teardown overlaps the rest of the run.
+            if (local_ && pending.empty()) ::shutdown(conn.fd, SHUT_WR);
+          }
         }
       }
-    }
-  } catch (...) {
-    HMDIV_OBS_COUNT("exec.cluster.failures", 1);
-    // Mid-task streams cannot be resynced; drop them so a later run
-    // starts from a clean connection.
-    for (Conn& conn : conns_) {
-      if (!conn.inflight.empty()) conn.close_fd();
-    }
-    detail::set_cluster_worker_stats(worker_stats());
-    throw;
-  }
 
-  detail::set_cluster_worker_stats(worker_stats());
+      if ((revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL)) != 0) {
+        const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
+        if (n < 0) {
+          if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+            fail(conn, ShardFailure::Kind::protocol, errno,
+                 std::string("reply read failed: ") + std::strerror(errno));
+            continue;
+          }
+        } else if (n == 0) {
+          // EOF mid-frame is a truncated stream; a local worker's wait
+          // status may say more, which ShardRunner checks after reaping.
+          fail(conn,
+               conn.parser.idle() ? ShardFailure::Kind::protocol
+                                  : ShardFailure::Kind::truncated,
+               0, "connection closed by worker");
+          continue;
+        } else {
+          conn.stats.bytes_in += static_cast<std::uint64_t>(n);
+          count("bytes_in", static_cast<std::uint64_t>(n));
+          conn.parser.feed({buffer, static_cast<std::size_t>(n)});
+          try {
+            if (!process_frames(conn)) continue;
+          } catch (const wire::ProtocolError& e) {
+            fail(conn, ShardFailure::Kind::protocol, 0,
+                 std::string("protocol error: ") + e.what());
+            continue;
+          }
+        }
+      }
+
+      if (!conn.inflight.empty() && Clock::now() >= conn.head_deadline) {
+        fail(conn, ShardFailure::Kind::timeout, 0, "task deadline expired");
+      }
+    }
+  }
 
   // The final partition in ascending span-start order: each completed
   // task recorded its width, so the walk visits every payload exactly

@@ -2,7 +2,9 @@
 // §15–16).
 //
 // ClusterRunner is the third rung of the execution ladder: threads
-// (exec/parallel.hpp) → processes (exec/shard.hpp) → hosts. It fans the
+// (exec/parallel.hpp) → processes (exec/shard.hpp) → hosts, and its
+// dispatch loop is the one scheduler both fan-outs run on: ShardRunner
+// hands it local worker processes over socketpairs. It fans the
 // same substream-partitioned shard tasks the fork/exec engine runs —
 // sim.trial batch ranges, core.sweep / core.minimise grid subspans,
 // core.uq.sample draw chunks — across remote `hmdiv_serve` workers over
@@ -35,8 +37,7 @@
 // re-probe per run so a transient outage does not cost the whole fleet
 // member; structured error frames, by contrast, are deterministic
 // workload failures and abort the run. Worker obs snapshots (per-task
-// deltas) fold into this process's registry exactly as the pipe engine's
-// do.
+// deltas) fold into this process's registry at each task's done frame.
 #pragma once
 
 #include <chrono>
@@ -131,10 +132,27 @@ class ClusterRunner {
   [[nodiscard]] std::vector<ClusterWorkerStats> worker_stats() const;
 
  private:
+  friend class ShardRunner;
   struct Conn;
+
+  /// A local fleet: `fds[i]` is an already-connected stream to the shard
+  /// worker process ShardRunner spawned as worker i. No connect, no
+  /// upgrade, no re-admission; the fleet fails fast (see dispatch()).
+  /// Takes ownership of the fds.
+  ClusterRunner(std::span<const int> fds, ClusterOptions options);
+
+  /// The dispatch loop both transports share: partitions the work into
+  /// `shards` micro-shards, keeps each worker's window full, merges reply
+  /// obs deltas, and returns payloads in ascending span-start order. A
+  /// remote worker that fails is sidelined and its spans requeue; a local
+  /// worker's first failure ends the run with a ShardError naming it.
+  [[nodiscard]] std::vector<std::vector<std::uint8_t>> dispatch(
+      std::string_view workload, std::span<const std::uint8_t> blob,
+      unsigned shards);
 
   ClusterOptions options_;
   std::vector<Conn> conns_;
+  bool local_ = false;
 };
 
 /// Latest per-worker stats published by any ClusterRunner in this process

@@ -28,9 +28,9 @@ bool execute_shard_task(const wire::ShardTask& task,
                                 task.workload + "'");
     return false;
   }
-  // Same process-global knobs the pipe worker applies. The thread budget
-  // is perf-only (results are bit-identical at any count), so flipping it
-  // per task is safe even with concurrent coordinator connections.
+  // Process-global knobs, set per task. The thread budget is perf-only
+  // (results are bit-identical at any count), so flipping it per task is
+  // safe even with concurrent coordinator connections.
   set_default_config(Config{task.threads});
   const bool was_enabled = obs::enabled();
   if (task.obs_enabled && !was_enabled) obs::set_enabled(true);
@@ -40,7 +40,7 @@ bool execute_shard_task(const wire::ShardTask& task,
   std::vector<std::uint8_t> payload;
   try {
     HMDIV_OBS_COUNT("serve.shard.tasks", 1);
-    HMDIV_OBS_SCOPED_TIMER("serve.shard.task_ns");
+    HMDIV_OBS_SCOPED_TIMER("exec.shard.worker_ns");
     payload = handler(task);
   } catch (const std::exception& e) {
     if (task.obs_enabled && !was_enabled) obs::set_enabled(false);

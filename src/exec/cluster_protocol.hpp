@@ -4,7 +4,7 @@
 // ordinary NDJSON connection: it sends one `{"op":"shard",...}` request
 // (the upgrade handshake), waits for the `"ok":true` response line, and
 // from then on the connection carries the same length-prefixed "HMDF"
-// frames the pipe transport of shard_protocol.hpp uses — task frames in,
+// frames a local shard worker speaks over its socketpair — task frames in,
 // result (+ obs) or error frames out, several tasks per connection. The
 // frame format, the wire::shard_range partition, and the ascending-shard
 // merge are all shared with the single-host engine, which is what makes
@@ -12,8 +12,9 @@
 //
 // This header holds the pieces both ends share: the upgrade request line
 // the coordinator sends, and the worker-side ShardSession — a byte-in /
-// byte-out state machine the serve layer drives from its connection loop
-// (no sockets in here, so the protocol is unit-testable in-process).
+// byte-out state machine that the serve layer's connection loop and the
+// local --shard-worker process both drive (no sockets in here, so the
+// protocol is unit-testable in-process).
 #pragma once
 
 #include <cstdint>
@@ -39,9 +40,8 @@ inline constexpr std::string_view kShardUpgradeLine =
 /// uptime per task). A failed or unknown workload appends an error frame
 /// instead and returns false (the caller must not follow an error with a
 /// done frame — done marks successful completion only). Applies
-/// task.threads to the process default config exactly as the pipe worker
-/// does (a perf-only knob: results are bit-identical at any thread
-/// count). Never throws.
+/// task.threads to the process default config (a perf-only knob: results
+/// are bit-identical at any thread count). Never throws.
 bool execute_shard_task(const wire::ShardTask& task,
                         std::vector<std::uint8_t>& out);
 
@@ -71,6 +71,10 @@ class ShardSession {
   /// bytes are ignored). Never throws.
   [[nodiscard]] std::vector<Reply> consume(
       std::span<const std::uint8_t> bytes);
+
+  /// True iff no partial frame is pending: a stream that ends while this
+  /// is false was cut off mid-frame.
+  [[nodiscard]] bool idle() const { return parser_.idle(); }
 
  private:
   wire::FrameParser parser_;

@@ -1,13 +1,13 @@
 #include "exec/shard.hpp"
 
 #include <fcntl.h>
-#include <poll.h>
-#include <pthread.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -16,9 +16,12 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
+#include "exec/cluster.hpp"
+#include "exec/cluster_protocol.hpp"
 #include "exec/config.hpp"
 #include "obs/obs.hpp"
 
@@ -53,64 +56,6 @@ std::mutex& registry_mutex() {
 std::map<std::string, ShardHandler, std::less<>>& handler_registry() {
   static std::map<std::string, ShardHandler, std::less<>> registry;
   return registry;
-}
-
-// --- Low-level I/O helpers ------------------------------------------------
-
-/// Blocks SIGPIPE for the calling thread so a write to a dead worker's
-/// pipe returns EPIPE instead of killing the parent; pending SIGPIPEs we
-/// caused are drained before the old mask is restored.
-class SigpipeGuard {
- public:
-  SigpipeGuard() {
-    sigemptyset(&pipe_set_);
-    sigaddset(&pipe_set_, SIGPIPE);
-    blocked_ = pthread_sigmask(SIG_BLOCK, &pipe_set_, &old_mask_) == 0 &&
-               sigismember(&old_mask_, SIGPIPE) == 0;
-  }
-  SigpipeGuard(const SigpipeGuard&) = delete;
-  SigpipeGuard& operator=(const SigpipeGuard&) = delete;
-  ~SigpipeGuard() {
-    if (!blocked_) return;
-    timespec zero{};
-    for (;;) {
-      const int sig = sigtimedwait(&pipe_set_, nullptr, &zero);
-      if (sig == SIGPIPE) continue;  // drain one pending SIGPIPE, re-poll
-      // EINTR: an unrelated signal handler ran mid-wait. Bailing out here
-      // would restore the mask with a SIGPIPE still pending and kill the
-      // process, so retry the drain instead.
-      if (sig < 0 && errno == EINTR) continue;
-      break;  // EAGAIN: nothing pending
-    }
-    pthread_sigmask(SIG_SETMASK, &old_mask_, nullptr);
-  }
-
- private:
-  sigset_t pipe_set_{};
-  sigset_t old_mask_{};
-  bool blocked_ = false;
-};
-
-/// Writes all of `bytes` to a blocking fd; false on any error (errno set).
-bool write_all(int fd, std::span<const std::uint8_t> bytes) noexcept {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-int remaining_ms(Clock::time_point deadline) noexcept {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - Clock::now());
-  if (left.count() <= 0) return 0;
-  if (left.count() > 60'000) return 60'000;
-  return static_cast<int>(left.count());
 }
 
 }  // namespace
@@ -309,281 +254,177 @@ std::string self_exe_path() {
 
 namespace {
 
-/// Ships an error frame so the parent can report a cause, not just an exit
-/// code. Best effort: if the pipe is gone the exit code still tells.
-void write_error_frame(const std::string& message) noexcept {
-  wire::Writer payload;
-  payload.str(message);
-  std::vector<std::uint8_t> out;
-  wire::append_frame(out, wire::FrameType::error, payload.data());
-  static_cast<void>(write_all(STDOUT_FILENO, out));
+/// Sends all of `bytes` on stdout, the worker's end of the socketpair;
+/// false once the parent is gone (MSG_NOSIGNAL: EPIPE, not SIGPIPE).
+bool send_stdout(std::span<const std::uint8_t> bytes) noexcept {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::send(STDOUT_FILENO, bytes.data() + off,
+                             bytes.size() - off, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
-}  // namespace
-
-int shard_worker_main() {
-  wire::ShardTask task;
-  try {
-    // Read exactly one task frame from stdin (blocking).
-    wire::FrameParser parser;
-    std::optional<wire::Frame> frame;
-    std::uint8_t buffer[1 << 16];
-    while (!(frame = parser.next())) {
-      const ssize_t n = ::read(STDIN_FILENO, buffer, sizeof buffer);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        write_error_frame("shard worker: task read failed");
-        return 3;
-      }
-      if (n == 0) {
-        write_error_frame("shard worker: task stream truncated");
-        return 3;
-      }
-      parser.feed({buffer, static_cast<std::size_t>(n)});
-    }
-    if (frame->type != wire::FrameType::task) {
-      write_error_frame("shard worker: first frame is not a task");
-      return 3;
-    }
-    task = wire::parse_task(frame->payload);
-  } catch (const std::exception& e) {
-    write_error_frame(std::string("shard worker: bad task: ") + e.what());
-    return 3;
-  }
-
-  set_default_config(Config{task.threads});
-  obs::set_enabled(task.obs_enabled);
-
-  std::vector<std::uint8_t> payload;
-  try {
-    const ShardHandler handler = find_shard_workload(task.workload);
-    if (handler == nullptr) {
-      write_error_frame("shard worker: unknown workload '" + task.workload +
-                        "'");
-      return 3;
-    }
-    HMDIV_OBS_SCOPED_TIMER("exec.shard.worker_ns");
-    payload = handler(task);
-  } catch (const std::exception& e) {
-    write_error_frame(std::string("shard worker: ") + task.workload + ": " +
-                      e.what());
-    return 1;
-  }
-
-  std::vector<std::uint8_t> out;
-  wire::append_frame(out, wire::FrameType::result, payload);
-  if (task.obs_enabled) {
-    wire::append_frame(out, wire::FrameType::obs,
-                       obs::serialize_snapshot(obs::registry_snapshot()));
-  }
-
-  switch (shard_fault_mode(task.shard_index)) {
-    case ShardFaultMode::none:
-    case ShardFaultMode::connreset:   // serve-transport faults: no-ops on
-    case ShardFaultMode::slowdrain:   // the pipe transport
-    case ShardFaultMode::delay:
-      break;
+/// Ships one task's reply, applying the local-worker fault modes to its
+/// bytes. Returns -1 to keep serving, else the process exit code.
+int ship_reply(const ShardSession::Reply& reply) {
+  const std::span<const std::uint8_t> bytes(reply.bytes);
+  switch (shard_fault_mode(reply.shard_index)) {
     case ShardFaultMode::sigkill:
       // Die mid-stream: half the bytes make it out, then SIGKILL — the
       // parent must see a signal death plus a truncated frame, not hang.
-      static_cast<void>(write_all(
-          STDOUT_FILENO,
-          std::span<const std::uint8_t>(out.data(), out.size() / 2)));
+      static_cast<void>(send_stdout(bytes.first(bytes.size() / 2)));
       ::raise(SIGKILL);
       break;
     case ShardFaultMode::shortwrite:
       // Clean exit but a short stream: parent must flag truncation.
-      static_cast<void>(write_all(
-          STDOUT_FILENO,
-          std::span<const std::uint8_t>(
-              out.data(), out.size() - std::min<std::size_t>(16,
-                                                             out.size()))));
+      static_cast<void>(send_stdout(bytes.first(
+          bytes.size() - std::min<std::size_t>(16, bytes.size()))));
       return 0;
     case ShardFaultMode::hang:
       std::this_thread::sleep_for(std::chrono::hours(1));
       break;
     case ShardFaultMode::exit_code:
       return 7;
+    default:  // none, and the serve-transport faults
+      break;
   }
+  if (!send_stdout(bytes)) return 4;
+  return reply.close ? 3 : -1;
+}
 
-  if (!write_all(STDOUT_FILENO, out)) return 4;
-  return 0;
+}  // namespace
+
+int shard_worker_main() {
+  ShardSession session;
+  std::uint8_t buffer[1 << 16];
+  for (;;) {
+    const ssize_t n = ::read(STDIN_FILENO, buffer, sizeof buffer);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    for (const ShardSession::Reply& reply :
+         session.consume({buffer, static_cast<std::size_t>(n)})) {
+      if (const int code = ship_reply(reply); code >= 0) return code;
+    }
+  }
+  if (session.idle()) return 0;
+  // The stream ended mid-frame: say so, so the parent reports a cause.
+  wire::Writer message;
+  message.str("shard worker: task stream truncated");
+  std::vector<std::uint8_t> frame;
+  wire::append_frame(frame, wire::FrameType::error, message.data());
+  static_cast<void>(send_stdout(frame));
+  return 3;
 }
 
 // --- Parent-side runner ---------------------------------------------------
 
 namespace {
 
-struct Worker {
-  std::uint32_t shard = 0;
+struct Child {
   pid_t pid = -1;
-  int task_fd = -1;
-  int result_fd = -1;
-  std::vector<std::uint8_t> task_bytes;
-  std::size_t task_written = 0;
-  wire::FrameParser parser;
-  std::vector<wire::Frame> frames;
-  std::uint64_t bytes_received = 0;
-  bool eof = false;
-  bool killed_by_parent = false;
-  bool reaped = false;
   int status = 0;
-  ShardFailure io_failure;  ///< provisional; final cause picked post-reap
-
-  [[nodiscard]] bool task_pending() const {
-    return task_fd >= 0 && task_written < task_bytes.size();
-  }
-  [[nodiscard]] bool done() const {
-    return eof && !task_pending() && io_failure.kind == ShardFailure::Kind::none;
-  }
-  void close_task() {
-    if (task_fd >= 0) ::close(task_fd);
-    task_fd = -1;
-  }
-  void close_result() {
-    if (result_fd >= 0) ::close(result_fd);
-    result_fd = -1;
-    eof = true;
-  }
+  bool killed = false;  ///< SIGKILLed by the parent
+  bool reaped = false;
 };
 
-void set_io_failure(Worker& worker, ShardFailure::Kind kind, int code,
-                    std::string detail) {
-  if (worker.io_failure.kind != ShardFailure::Kind::none) return;
-  worker.io_failure =
-      ShardFailure{kind, worker.shard, code, std::move(detail)};
-}
-
-/// fork + exec one worker; on success fills pid/task_fd/result_fd.
-void spawn_worker(Worker& worker, const std::string& exe) {
-  int task_pipe[2] = {-1, -1};
-  int result_pipe[2] = {-1, -1};
-  if (::pipe2(task_pipe, O_CLOEXEC) != 0) {
-    throw ShardError(ShardFailure{ShardFailure::Kind::spawn, worker.shard,
-                                  errno, "pipe2 failed"});
-  }
-  if (::pipe2(result_pipe, O_CLOEXEC) != 0) {
-    const int saved = errno;
-    ::close(task_pipe[0]);
-    ::close(task_pipe[1]);
-    throw ShardError(ShardFailure{ShardFailure::Kind::spawn, worker.shard,
-                                  saved, "pipe2 failed"});
+/// fork + exec one worker with both stdin and stdout on one end of a fresh
+/// socketpair; returns the parent's end (non-blocking).
+int spawn_worker(Child& child, std::uint32_t shard, const std::string& exe) {
+  int pair[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair) != 0) {
+    throw ShardError(
+        ShardFailure{ShardFailure::Kind::spawn, shard, errno,
+                     "socketpair failed"});
   }
   const pid_t pid = ::fork();
   if (pid < 0) {
     const int saved = errno;
-    ::close(task_pipe[0]);
-    ::close(task_pipe[1]);
-    ::close(result_pipe[0]);
-    ::close(result_pipe[1]);
-    throw ShardError(ShardFailure{ShardFailure::Kind::spawn, worker.shard,
-                                  saved, "fork failed"});
+    ::close(pair[0]);
+    ::close(pair[1]);
+    throw ShardError(
+        ShardFailure{ShardFailure::Kind::spawn, shard, saved, "fork failed"});
   }
   if (pid == 0) {
     // Child: only async-signal-safe calls between fork and exec. dup2
-    // clears O_CLOEXEC on the descriptor it creates; every other pipe fd
+    // clears O_CLOEXEC on the descriptors it creates; every other socket
     // (including other workers') closes on exec.
-    if (::dup2(task_pipe[0], STDIN_FILENO) < 0 ||
-        ::dup2(result_pipe[1], STDOUT_FILENO) < 0) {
+    if (::dup2(pair[1], STDIN_FILENO) < 0 ||
+        ::dup2(pair[1], STDOUT_FILENO) < 0) {
       ::_exit(127);
     }
     const char* argv[] = {exe.c_str(), kShardWorkerFlag.data(), nullptr};
     ::execv(exe.c_str(), const_cast<char* const*>(argv));
     ::_exit(127);  // surfaces as exit_code 127 on the parent
   }
-  ::close(task_pipe[0]);
-  ::close(result_pipe[1]);
-  // Non-blocking parent ends: both sides are driven by one poll() loop
-  // under the run deadline, so neither a full task pipe (worker not
-  // reading) nor a stalled result stream can block the parent forever.
-  ::fcntl(task_pipe[1], F_SETFL, O_NONBLOCK);
-  ::fcntl(result_pipe[0], F_SETFL, O_NONBLOCK);
-  worker.pid = pid;
-  worker.task_fd = task_pipe[1];
-  worker.result_fd = result_pipe[0];
+  ::close(pair[1]);
+  ::fcntl(pair[0], F_SETFL, O_NONBLOCK);
+  child.pid = pid;
+  return pair[0];
 }
 
-/// Reaps `worker` within the grace window; SIGKILLs first if the deadline
-/// passes. Every spawned pid goes through here exactly once on every
-/// path, so no run ever leaks a zombie.
-void reap_worker(Worker& worker, Clock::time_point grace_deadline) {
-  if (worker.reaped || worker.pid < 0) return;
-  for (;;) {
-    const pid_t got = ::waitpid(worker.pid, &worker.status, WNOHANG);
-    if (got == worker.pid) break;
-    if (got < 0 && errno != EINTR) {
-      worker.status = 0;
-      break;
-    }
-    if (Clock::now() >= grace_deadline) {
-      ::kill(worker.pid, SIGKILL);
-      worker.killed_by_parent = true;
-      if (::waitpid(worker.pid, &worker.status, 0) < 0) worker.status = 0;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
-  }
-  worker.reaped = true;
-}
-
-void kill_worker(Worker& worker) {
-  if (worker.pid >= 0 && !worker.reaped) {
-    ::kill(worker.pid, SIGKILL);
-    worker.killed_by_parent = true;
+void kill_child(Child& child) {
+  if (child.pid >= 0 && !child.reaped) {
+    ::kill(child.pid, SIGKILL);
+    child.killed = true;
   }
 }
 
-/// Picks the most informative failure cause for one finished worker, in
-/// fixed precedence order; Kind::none when the shard succeeded.
-ShardFailure diagnose(Worker& worker, bool timed_out) {
-  // A structured error frame from the worker beats everything: it names
-  // the actual exception instead of the exit code it caused.
-  for (const wire::Frame& frame : worker.frames) {
-    if (frame.type == wire::FrameType::error) {
-      std::string message = "worker error";
-      try {
-        wire::Reader reader(frame.payload);
-        message = reader.str();
-      } catch (const wire::ProtocolError&) {
+/// Reaps every child within a shared grace window, SIGKILLing whatever is
+/// still running when it passes. Every spawned pid goes through here on
+/// every path, so no run ever leaks a zombie.
+void reap_all(std::vector<Child>& children) {
+  const auto grace = Clock::now() + std::chrono::seconds(2);
+  for (Child& child : children) {
+    while (child.pid >= 0 && !child.reaped) {
+      const pid_t got = ::waitpid(child.pid, &child.status, WNOHANG);
+      if (got == child.pid || (got < 0 && errno != EINTR)) {
+        child.reaped = true;
+      } else if (Clock::now() >= grace) {
+        kill_child(child);
+        child.reaped = ::waitpid(child.pid, &child.status, 0) == child.pid ||
+                       errno != EINTR;
+      } else {
+        // Short naps: a worker exits within microseconds of its stream
+        // closing, and every run waits for the last one.
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
-      return ShardFailure{ShardFailure::Kind::worker, worker.shard, 0,
-                          std::move(message)};
     }
   }
-  if (timed_out || worker.killed_by_parent) {
-    return ShardFailure{ShardFailure::Kind::timeout, worker.shard, 0,
-                        "deadline expired before the worker finished"};
+}
+
+/// The failure, if any, of one reaped worker. `observed` is what the
+/// scheduler saw on its stream (nullptr if nothing went wrong there). A
+/// structured error frame or a blown deadline names the cause best; next
+/// come the wait status and then the stream diagnosis.
+ShardFailure diagnose(const Child& child, std::uint32_t shard,
+                      const ShardFailure* observed) {
+  using Kind = ShardFailure::Kind;
+  if (observed != nullptr &&
+      (observed->kind == Kind::worker || observed->kind == Kind::timeout)) {
+    return *observed;
   }
-  if (WIFSIGNALED(worker.status)) {
-    return ShardFailure{ShardFailure::Kind::signal, worker.shard,
-                        WTERMSIG(worker.status),
-                        std::string("worker killed by signal ") +
-                            std::to_string(WTERMSIG(worker.status))};
+  if (child.killed) {
+    return ShardFailure{Kind::timeout, shard, 0,
+                        "worker did not exit after its stream closed"};
   }
-  if (WIFEXITED(worker.status) && WEXITSTATUS(worker.status) != 0) {
-    const int code = WEXITSTATUS(worker.status);
-    return ShardFailure{ShardFailure::Kind::exit_code, worker.shard, code,
+  if (WIFSIGNALED(child.status)) {
+    return ShardFailure{Kind::signal, shard, WTERMSIG(child.status),
+                        "worker killed by signal " +
+                            std::to_string(WTERMSIG(child.status))};
+  }
+  if (WIFEXITED(child.status) && WEXITSTATUS(child.status) != 0) {
+    const int code = WEXITSTATUS(child.status);
+    return ShardFailure{Kind::exit_code, shard, code,
                         code == 127 ? "exit code 127 (exec failed?)"
                                     : "worker exited non-zero"};
   }
-  if (worker.io_failure.kind != ShardFailure::Kind::none) {
-    return worker.io_failure;
-  }
-  if (!worker.parser.idle()) {
-    return ShardFailure{ShardFailure::Kind::truncated, worker.shard, 0,
-                        "result stream ended mid-frame (" +
-                            std::to_string(worker.parser.buffered()) +
-                            " bytes pending)"};
-  }
-  bool have_result = false;
-  for (const wire::Frame& frame : worker.frames) {
-    have_result = have_result || frame.type == wire::FrameType::result;
-  }
-  if (!have_result) {
-    return ShardFailure{ShardFailure::Kind::protocol, worker.shard, 0,
-                        "worker stream held no result frame"};
-  }
-  return ShardFailure{};
+  return observed != nullptr ? *observed : ShardFailure{};
 }
 
 }  // namespace
@@ -605,192 +446,68 @@ std::vector<std::vector<std::uint8_t>> ShardRunner::run(
   HMDIV_OBS_COUNT("exec.shard.workers", shards);
 
   const std::string exe = options_.exe.empty() ? self_exe_path() : options_.exe;
-  const bool ship_obs = obs::enabled();
   const auto deadline = Clock::now() + options_.deadline;
-
-  std::vector<Worker> workers(shards);
-  bool timed_out = false;
-
-  // Everything after the first spawn must reap on the way out; wrap the
-  // poll loop so any exception (spawn failure, protocol error, bad_alloc)
-  // still kills and reaps every child.
-  const auto kill_and_reap_all = [&]() {
-    for (Worker& worker : workers) kill_worker(worker);
-    const auto grace = Clock::now() + std::chrono::seconds(2);
-    for (Worker& worker : workers) {
-      worker.close_task();
-      worker.close_result();
-      reap_worker(worker, grace);
-    }
-  };
+  std::vector<Child> children(shards);
+  std::vector<int> fds;
+  std::optional<ShardFailure> failed;
+  std::vector<std::vector<std::uint8_t>> results;
 
   try {
-    // Spawn the fleet and stage each worker's task frame.
     for (std::uint32_t s = 0; s < shards; ++s) {
-      Worker& worker = workers[s];
-      worker.shard = s;
-      spawn_worker(worker, exe);
-      wire::ShardTask task;
-      task.workload = std::string(workload);
-      task.shard_index = s;
-      task.shard_count = shards;
-      // Resolve the per-worker budget here so HMDIV_THREADS (already folded
-      // into the parent's default config) reaches workers even though they
-      // override their own env-derived default with this value.
-      task.threads = options_.threads ? options_.threads
-                                      : default_config().threads;
-      task.obs_enabled = ship_obs;
-      task.blob.assign(blob.begin(), blob.end());
-      wire::append_frame(worker.task_bytes, wire::FrameType::task,
-                         wire::serialize_task(task));
-      HMDIV_OBS_COUNT("exec.shard.bytes_out", worker.task_bytes.size());
+      fds.push_back(spawn_worker(children[s], s, exe));
     }
-
-    // One poll() loop drives task hand-off and result collection for the
-    // whole fleet under the shared deadline.
-    const SigpipeGuard sigpipe_guard;
-    std::vector<pollfd> fds;
-    std::vector<Worker*> fd_owner;
-    std::vector<bool> fd_is_task;
-    std::uint8_t buffer[1 << 16];
-    for (;;) {
-      fds.clear();
-      fd_owner.clear();
-      fd_is_task.clear();
-      for (Worker& worker : workers) {
-        if (worker.task_pending()) {
-          fds.push_back(pollfd{worker.task_fd, POLLOUT, 0});
-          fd_owner.push_back(&worker);
-          fd_is_task.push_back(true);
-        }
-        if (!worker.eof && worker.result_fd >= 0) {
-          fds.push_back(pollfd{worker.result_fd, POLLIN, 0});
-          fd_owner.push_back(&worker);
-          fd_is_task.push_back(false);
-        }
-      }
-      if (fds.empty()) break;
-
-      const int timeout = remaining_ms(deadline);
-      if (timeout <= 0) {
-        timed_out = true;
-        break;
-      }
-      const int ready = ::poll(fds.data(), fds.size(), timeout);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        throw ShardError(ShardFailure{ShardFailure::Kind::spawn, 0, errno,
-                                      "poll failed"});
-      }
-      if (ready == 0) {
-        timed_out = true;
-        break;
-      }
-
-      for (std::size_t i = 0; i < fds.size(); ++i) {
-        if (fds[i].revents == 0) continue;
-        Worker& worker = *fd_owner[i];
-        if (fd_is_task[i]) {
-          // Hand-off: push as much of the task frame as the pipe takes.
-          const ssize_t n = ::write(
-              worker.task_fd, worker.task_bytes.data() + worker.task_written,
-              worker.task_bytes.size() - worker.task_written);
-          if (n < 0) {
-            if (errno != EAGAIN && errno != EINTR) {
-              // Usually EPIPE because the worker died; the real cause
-              // surfaces from waitpid/frames, this is the fallback.
-              set_io_failure(worker, ShardFailure::Kind::write, errno,
-                             "task hand-off failed");
-              worker.close_task();
-            }
-          } else {
-            worker.task_written += static_cast<std::size_t>(n);
-            if (worker.task_written == worker.task_bytes.size()) {
-              worker.close_task();  // EOF tells the worker the task is whole
-            }
-          }
-        } else {
-          const ssize_t n = ::read(worker.result_fd, buffer, sizeof buffer);
-          if (n < 0) {
-            if (errno != EAGAIN && errno != EINTR) {
-              set_io_failure(worker, ShardFailure::Kind::protocol, errno,
-                             "result read failed");
-              worker.close_result();
-            }
-          } else if (n == 0) {
-            worker.close_result();
-          } else {
-            worker.bytes_received += static_cast<std::uint64_t>(n);
-            HMDIV_OBS_COUNT("exec.shard.bytes_in", n);
-            try {
-              worker.parser.feed({buffer, static_cast<std::size_t>(n)});
-              while (auto frame = worker.parser.next()) {
-                worker.frames.push_back(std::move(*frame));
-              }
-            } catch (const wire::ProtocolError& e) {
-              set_io_failure(worker, ShardFailure::Kind::protocol, 0,
-                             e.what());
-              worker.close_result();
-            }
-          }
-        }
+    // One task per process: shards pinned to the worker count, a window
+    // of one, and the whole-run deadline as the task deadline.
+    ClusterOptions fleet_options;
+    fleet_options.shards = shards;
+    // Resolve the per-worker budget here so HMDIV_THREADS (already folded
+    // into the parent's default config) reaches workers even though they
+    // override their own env-derived default with this value.
+    fleet_options.threads =
+        options_.threads ? options_.threads : default_config().threads;
+    fleet_options.window = 1;
+    fleet_options.task_deadline =
+        std::max(std::chrono::duration_cast<std::chrono::milliseconds>(
+                     deadline - Clock::now()),
+                 std::chrono::milliseconds(0));
+    ClusterRunner fleet(fds, std::move(fleet_options));
+    fds.clear();  // the fleet owns (and closes) them now
+    try {
+      results = fleet.dispatch(workload, blob, shards);
+    } catch (const ShardError& e) {
+      failed = e.failure();
+    }
+    // Fail fast: stop every worker still computing — peers cancelled by
+    // the failure, or the worker that blew the deadline. The rest see
+    // EOF when the fleet closes their streams, and exit.
+    const std::vector<ClusterWorkerStats> stats = fleet.worker_stats();
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      const bool is_failed = failed && failed->shard == s;
+      if (stats[s].tasks == 0 &&
+          (!is_failed || failed->kind == ShardFailure::Kind::timeout)) {
+        kill_child(children[s]);
       }
     }
   } catch (...) {
     HMDIV_OBS_COUNT("exec.shard.failures", 1);
-    kill_and_reap_all();
+    for (const int fd : fds) ::close(fd);
+    for (Child& child : children) kill_child(child);
+    reap_all(children);
     throw;
   }
+  reap_all(children);
 
-  // Collection is over (all streams closed, or the deadline expired with
-  // some workers unfinished). Kill whatever is still running, then reap
-  // every child — also the well-behaved ones.
-  for (Worker& worker : workers) {
-    if (!worker.done() || timed_out) {
-      if (!worker.eof || worker.task_pending()) kill_worker(worker);
-    }
-    worker.close_task();
-  }
-  {
-    const auto grace = Clock::now() + std::chrono::seconds(2);
-    for (Worker& worker : workers) {
-      worker.close_result();
-      reap_worker(worker, grace);
-    }
-  }
-
-  // Diagnose in ascending shard order; the first failure wins.
-  for (Worker& worker : workers) {
-    const bool worker_timed_out = timed_out && !worker.eof;
-    ShardFailure failure = diagnose(worker, worker_timed_out);
+  // Diagnose in ascending shard order; the first failure wins. A worker
+  // killed only because another one failed was cancelled, not failed.
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const bool is_failed = failed && failed->shard == s;
+    if (failed && !is_failed && children[s].killed) continue;
+    ShardFailure failure =
+        diagnose(children[s], s, is_failed ? &*failed : nullptr);
     if (failure.kind != ShardFailure::Kind::none) {
       HMDIV_OBS_COUNT("exec.shard.failures", 1);
       throw ShardError(std::move(failure));
     }
-  }
-
-  // Deterministic merge epilogue: results in ascending shard order, and
-  // every worker's obs registry folded into this process's.
-  HMDIV_OBS_SCOPED_TIMER("exec.shard.merge_ns");
-  std::vector<std::vector<std::uint8_t>> results;
-  results.reserve(shards);
-  for (Worker& worker : workers) {
-    std::vector<std::uint8_t> payload;
-    for (wire::Frame& frame : worker.frames) {
-      if (frame.type == wire::FrameType::result) {
-        payload = std::move(frame.payload);
-      } else if (frame.type == wire::FrameType::obs) {
-        try {
-          obs::Registry::global().merge(obs::parse_snapshot(frame.payload));
-        } catch (const std::exception& e) {
-          throw ShardError(ShardFailure{ShardFailure::Kind::protocol,
-                                        worker.shard, 0,
-                                        std::string("bad obs frame: ") +
-                                            e.what()});
-        }
-      }
-    }
-    results.push_back(std::move(payload));
   }
   return results;
 }

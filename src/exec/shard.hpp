@@ -4,27 +4,30 @@
 // The thread pool (exec/parallel.hpp) stops at one process; the shard
 // engine is the next rung. A parent `ShardRunner` spawns N worker
 // processes — fork + exec of the *same binary* with the hidden
-// `--shard-worker` entry point — and hands each a shard descriptor
-// (workload name, shard index/count, thread budget, config blob) over a
-// pipe using the length-prefixed frame protocol of shard_protocol.hpp.
-// Workers rebuild the workload from the blob, run their slice on the
-// ordinary in-process engine (batched kernels × thread pool), and ship the
-// result plus their obs::Registry snapshot back over a second pipe.
+// `--shard-worker` entry point — each with stdin and stdout on one end of
+// a socketpair, and hands the parent ends to the cluster scheduler
+// (exec/cluster.hpp) as already-connected workers. Each worker runs one
+// task: its shard descriptor (workload name, shard index/count, thread
+// budget, config blob) arrives as a frame of shard_protocol.hpp; the
+// worker's ShardSession rebuilds the workload from the blob, runs its
+// slice on the ordinary in-process engine (batched kernels × thread
+// pool), and ships the result plus its obs delta back.
 //
 // Determinism contract — the same guarantee the thread pool gives at 1 vs
 // N threads, lifted to processes: the work partition depends only on the
 // problem size and the shard count (wire::shard_range over the workload's
 // *substream* index space — trial batches, grid indices, draw chunks), every
 // slice draws from the same Rng(seed, stream) substreams it would occupy
-// in a single-process run, doubles cross the pipe as bit patterns, and the
-// parent merges per-shard results in ascending shard order. N-shard output
-// is therefore bit-identical to the 1-shard and to the in-process run.
+// in a single-process run, doubles cross the socket as bit patterns, and
+// the parent merges per-shard results in ascending shard order. N-shard
+// output is therefore bit-identical to the 1-shard and to the in-process
+// run.
 //
-// Failure handling: the parent multiplexes all pipes through poll() under
-// a deadline and reaps every child via waitpid on every path. A worker
-// that dies (non-zero exit, signal, SIGKILL), writes a truncated frame, or
-// stalls past the deadline surfaces as a structured ShardError naming the
-// shard and the failure kind — never a hang, never a zombie.
+// Failure handling: local workers fail fast. The first worker that dies
+// (non-zero exit, signal, SIGKILL), writes a truncated frame, ships an
+// error, or stalls past the deadline stops the run; the parent kills the
+// rest, reaps every child via waitpid, and raises a structured ShardError
+// naming the shard and the failure kind — never a hang, never a zombie.
 #pragma once
 
 #include <chrono>
@@ -62,7 +65,7 @@ inline constexpr unsigned kMaxShards = 256;
 struct ShardFailure {
   enum class Kind {
     none,        ///< no failure
-    spawn,       ///< pipe/fork/exec failed (code = errno)
+    spawn,       ///< socketpair/fork/exec failed (code = errno)
     write,       ///< task hand-off failed, e.g. worker died reading (errno)
     timeout,     ///< deadline expired before the worker finished
     signal,      ///< worker killed by signal (code = signal number)
@@ -143,7 +146,7 @@ struct ShardWorkloadRegistration {
 /// HMDIV_SHARD_FAULT="<mode>:<shard|*>" ('*' matches every task — the
 /// deterministic spelling when the task → worker mapping is timing-
 /// dependent, as it is under the pipelined coordinator's concurrent
-/// startup). Pipe workers honour sigkill /
+/// startup). Local shard workers honour sigkill /
 /// shortwrite / hang / exit_code; the serve shard endpoint honours
 /// connreset (RST the connection instead of replying), slowdrain (stall
 /// mid-reply past any per-task deadline), and delay — spelled
@@ -178,11 +181,12 @@ inline constexpr std::string_view kShardWorkerFlag = "--shard-worker";
 [[nodiscard]] bool shard_worker_requested(int argc,
                                           const char* const* argv) noexcept;
 
-/// Worker entry point: reads one task frame from stdin, sets the thread
-/// budget and obs gate from the descriptor, dispatches to the registered
-/// handler, and writes the result (+ obs snapshot) frames to stdout.
-/// Returns the process exit code (0 on success; failures also ship an
-/// error frame so the parent can report the cause, not just the code).
+/// Worker entry point: drives an exec::ShardSession over stdin/stdout (one
+/// connected stream socket) until EOF, so every task runs through
+/// execute_shard_task and replies result [+ obs] + done, or an error
+/// frame. The HMDIV_SHARD_FAULT local modes apply to the reply bytes.
+/// Returns the process exit code: 0 at a clean EOF, 3 when the stream
+/// ends mid-frame or is malformed (after shipping an error frame).
 [[nodiscard]] int shard_worker_main();
 
 /// Absolute path of the running binary (via /proc/self/exe); the default
@@ -190,8 +194,9 @@ inline constexpr std::string_view kShardWorkerFlag = "--shard-worker";
 [[nodiscard]] std::string self_exe_path();
 
 /// Parent-side fan-out engine. One ShardRunner::run spawns the workers,
-/// hands out tasks, collects results, reaps children, and merges worker
-/// obs registries into this process's global registry.
+/// lets the cluster scheduler hand out tasks, collect results and merge
+/// worker obs deltas into this process's registry, then reaps the
+/// children and diagnoses any failure.
 class ShardRunner {
  public:
   explicit ShardRunner(ShardOptions options = {});

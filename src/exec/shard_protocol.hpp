@@ -1,6 +1,8 @@
 // Wire protocol of the multi-process shard engine (exec/shard.hpp).
 //
-// Parent and workers talk over pipes using length-prefixed binary frames:
+// Parent and workers talk over stream sockets (a socketpair to a local
+// worker process, TCP to a remote daemon) using length-prefixed binary
+// frames:
 //
 //   +-------+-------+----------------+-----------------+
 //   | magic | type  | payload length | payload bytes   |
@@ -8,7 +10,7 @@
 //   +-------+-------+----------------+-----------------+
 //
 // All integers are little-endian; doubles travel as their IEEE-754 bit
-// patterns, so a value that crosses the pipe and comes back is the *same
+// patterns, so a value that crosses the wire and comes back is the *same
 // double*, bit for bit — the foundation of the engine's "N shards ==
 // 1 process" determinism guarantee. A frame is either complete or absent:
 // the incremental FrameParser never yields a frame until every payload
@@ -165,9 +167,9 @@ void append_frame(std::vector<std::uint8_t>& out, FrameType type,
                   std::span<const std::uint8_t> payload);
 
 /// Incremental frame decoder over a growing byte stream. feed() appends raw
-/// bytes (as read from the pipe); next() pops the earliest complete frame,
-/// or nullopt while one is still partial. idle() distinguishes a clean EOF
-/// (stream ended on a frame boundary) from a truncated one.
+/// bytes (as read from the socket); next() pops the earliest complete
+/// frame, or nullopt while one is still partial. idle() distinguishes a
+/// clean EOF (stream ended on a frame boundary) from a truncated one.
 class FrameParser {
  public:
   void feed(std::span<const std::uint8_t> bytes);

@@ -114,8 +114,9 @@ class Histogram {
   [[nodiscard]] std::uint64_t max() const noexcept {
     return max_.load(std::memory_order_relaxed);
   }
-  /// Upper bound of the bucket containing the q-quantile (q in [0,1]);
-  /// exact to within a factor of 2. 0 when empty.
+  /// Upper bound of the bucket containing the q-quantile (q in [0,1]),
+  /// clamped to [min(), max()]; exact to within a factor of 2. 0 when
+  /// empty.
   [[nodiscard]] std::uint64_t quantile(double q) const noexcept;
 
   /// Raw count of bucket `b` (0 for b >= kBuckets) — snapshots carry these
@@ -188,7 +189,8 @@ struct HistogramSnapshot {
 };
 
 /// Report-side quantile over a snapshot's raw bucket counts, using the
-/// same bucket-upper-bound convention as Histogram::quantile. This is how
+/// same clamped bucket-upper-bound convention as Histogram::quantile (the
+/// clamp uses the snapshot's min/max). This is how
 /// derived quantiles the snapshot does not pre-compute (e.g. p99.9) are
 /// rendered without widening HistogramSnapshot. Falls back to `max` when
 /// the buckets vector is absent or the target lies past it.

@@ -1,6 +1,7 @@
 // Shared access to the program-wide heap-allocation counter.
 //
-// The counting global operator new/delete replacements live in
+// The counting replacements of every global allocation function (plain,
+// array, nothrow and aligned new; every matching delete) live in
 // test_sweep_engine.cpp — replacement of the global allocation functions
 // must happen exactly once per binary — but every TU linked into
 // hmdiv_tests observes them. Any test that asserts a zero-allocation
@@ -12,8 +13,9 @@
 
 namespace hmdiv::test {
 
-/// Number of global operator new calls since program start (relaxed
-/// atomic read; exact in single-threaded sections, monotone everywhere).
+/// Number of global operator new calls (any form) since program start
+/// (relaxed atomic read; exact in single-threaded sections, monotone
+/// everywhere).
 [[nodiscard]] std::uint64_t allocation_count();
 
 }  // namespace hmdiv::test

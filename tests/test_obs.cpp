@@ -126,6 +126,50 @@ TEST(ObsHistogram, SnapshotQuantileEdgeCases) {
   EXPECT_EQ(obs::snapshot_quantile(bare, 0.99), 1234U);
 }
 
+TEST(ObsHistogram, QuantilesStayWithinTheObservedRange) {
+  // A bucket's upper bound can lie past every recorded value: 877 sits in
+  // [512, 1024), whose bound 1023 is no value anyone observed.
+  obs::Histogram one("one");
+  one.record(877);
+  EXPECT_EQ(one.quantile(0.0), 877U);
+  EXPECT_EQ(one.quantile(0.5), 877U);
+  EXPECT_EQ(one.quantile(0.99), 877U);
+
+  obs::Histogram mixed("mixed");
+  for (const std::uint64_t v : {40U, 520U, 530U, 600U, 700U, 877U}) {
+    mixed.record(v);
+  }
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_LE(mixed.quantile(q), mixed.max()) << "q=" << q;
+    EXPECT_GE(mixed.quantile(q), mixed.min()) << "q=" << q;
+  }
+}
+
+TEST(ObsHistogram, SnapshotAndDeltaQuantilesStayWithinTheObservedRange) {
+  obs::Registry registry;
+  obs::Histogram& h = registry.histogram("h");
+  h.record(3);
+  const obs::Snapshot before = registry.snapshot();
+  for (const std::uint64_t v : {600U, 700U, 877U}) h.record(v);
+  const obs::Snapshot after = registry.snapshot();
+
+  ASSERT_EQ(after.histograms.size(), 1U);
+  const obs::HistogramSnapshot& whole = after.histograms[0];
+  EXPECT_LE(whole.p50, whole.max);
+  EXPECT_LE(whole.p99, whole.max);
+  EXPECT_LE(obs::snapshot_quantile(whole, 0.999), whole.max);
+
+  const obs::Snapshot delta = obs::snapshot_delta(before, after);
+  ASSERT_EQ(delta.histograms.size(), 1U);
+  const obs::HistogramSnapshot& d = delta.histograms[0];
+  EXPECT_EQ(d.count, 3U);
+  EXPECT_EQ(d.max, 877U);
+  EXPECT_LE(d.p50, d.max);
+  EXPECT_LE(d.p90, d.max);
+  EXPECT_LE(d.p99, d.max);
+  EXPECT_LE(obs::snapshot_quantile(d, 0.999), d.max);
+}
+
 TEST(ObsScopedTimer, DirectHistogramFormAlwaysRecords) {
   obs::Histogram h("h");
   {

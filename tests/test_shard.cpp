@@ -1,7 +1,7 @@
 // Tests for the multi-process shard engine: the wire protocol
 // (exec/shard_protocol.hpp), the fork/exec runner (exec/shard.hpp), the
-// 1-vs-N bit-identity contract of every sharded workload, and structured
-// failure handling under injected worker faults.
+// --shard-worker loop, the 1-vs-N bit-identity contract of every sharded
+// workload, and structured failure handling under injected worker faults.
 //
 // The fork/exec tests re-enter this very binary through the
 // --shard-worker flag (see tests/test_main.cpp), so workload handlers
@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -490,9 +492,9 @@ TEST(ShardRunnerTest, SurvivesSigalrmStormWithoutSaRestart) {
   HMDIV_SKIP_FORK_UNDER_TSAN();
   // Fault injection for the runner's EINTR handling: a no-op SIGALRM
   // handler installed WITHOUT SA_RESTART interrupts every blocking
-  // syscall in the parent (poll, read, write, waitpid, sigtimedwait in
-  // SigpipeGuard's drain) at ~2 kHz while workers run. Workers are
-  // unaffected: fork clears interval timers and exec resets the handler.
+  // syscall in the parent (poll, send, recv, waitpid) at ~2 kHz while
+  // workers run. Workers are unaffected: fork clears interval timers and
+  // exec resets the handler.
   struct sigaction storm {};
   storm.sa_handler = &storm_tick;
   sigemptyset(&storm.sa_mask);
@@ -536,6 +538,147 @@ TEST(ShardRunnerTest, MergesWorkerObsRegistriesIntoParent) {
   EXPECT_EQ(registry.counter("exec.shard.workers").value(), 2U);
   // Each worker timed its handler; the merge must carry both recordings.
   EXPECT_EQ(registry.histogram("exec.shard.worker_ns").count(), 2U);
+  expect_no_zombies();
+}
+
+// --- Worker loop: one --shard-worker process over a socketpair -----------
+
+/// A --shard-worker child of this binary with stdin and stdout on one end
+/// of a socketpair; `fd` is the test's end.
+struct WorkerProcess {
+  pid_t pid = -1;
+  int fd = -1;
+};
+
+WorkerProcess spawn_shard_worker() {
+  int pair[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair), 0);
+  const std::string exe = exec::self_exe_path();
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    if (::dup2(pair[1], STDIN_FILENO) < 0 ||
+        ::dup2(pair[1], STDOUT_FILENO) < 0) {
+      ::_exit(127);
+    }
+    const char* argv[] = {exe.c_str(), exec::kShardWorkerFlag.data(),
+                          nullptr};
+    ::execv(exe.c_str(), const_cast<char* const*>(argv));
+    ::_exit(127);
+  }
+  ::close(pair[1]);
+  EXPECT_GT(pid, 0);
+  return WorkerProcess{pid, pair[0]};
+}
+
+/// Sends `bytes`, half-closes the stream (the worker sees EOF once it has
+/// read them), and collects every reply frame until the worker closes.
+/// The parser must end idle: the worker never leaves a frame half-sent.
+std::vector<wire::Frame> send_and_collect(
+    const WorkerProcess& worker, std::span<const std::uint8_t> bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::send(worker.fd, bytes.data() + off,
+                             bytes.size() - off, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    EXPECT_GT(n, 0) << "send to worker failed";
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
+  }
+  ::shutdown(worker.fd, SHUT_WR);
+  wire::FrameParser parser;
+  std::vector<wire::Frame> frames;
+  std::uint8_t buffer[4096];
+  for (;;) {
+    const ssize_t n = ::read(worker.fd, buffer, sizeof buffer);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    parser.feed({buffer, static_cast<std::size_t>(n)});
+    while (auto frame = parser.next()) frames.push_back(std::move(*frame));
+  }
+  EXPECT_TRUE(parser.idle());
+  ::close(worker.fd);
+  return frames;
+}
+
+int exit_status(pid_t pid) {
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::vector<std::uint8_t> echo_task_frame(std::uint32_t shard,
+                                          std::vector<std::uint8_t> blob,
+                                          bool obs_enabled = false) {
+  wire::ShardTask task;
+  task.workload = "test.echo";
+  task.shard_index = shard;
+  task.shard_count = 3;
+  task.threads = 1;
+  task.obs_enabled = obs_enabled;
+  task.blob_cached = blob.empty();
+  task.blob = std::move(blob);
+  std::vector<std::uint8_t> out;
+  wire::append_frame(out, wire::FrameType::task, wire::serialize_task(task));
+  return out;
+}
+
+TEST(ShardWorkerLoop, PipelinedTasksReplyInOrderAndExitZeroOnEof) {
+  HMDIV_SKIP_FORK_UNDER_TSAN();
+  const std::vector<std::uint8_t> blob{7, 8, 9};
+  // Three task frames in one write: the first carries the blob, the next
+  // two ride the worker's cached copy; the middle one ships obs.
+  std::vector<std::uint8_t> stream = echo_task_frame(0, blob);
+  for (const auto& frame : {echo_task_frame(1, {}, /*obs_enabled=*/true),
+                            echo_task_frame(2, {})}) {
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  const WorkerProcess worker = spawn_shard_worker();
+  const std::vector<wire::Frame> frames = send_and_collect(worker, stream);
+
+  const std::vector<wire::FrameType> want{
+      wire::FrameType::result, wire::FrameType::done,
+      wire::FrameType::result, wire::FrameType::obs, wire::FrameType::done,
+      wire::FrameType::result, wire::FrameType::done};
+  ASSERT_EQ(frames.size(), want.size());
+  std::uint32_t shard = 0;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_EQ(frames[i].type, want[i]) << "frame " << i;
+    if (frames[i].type == wire::FrameType::result) {
+      wire::Reader r(frames[i].payload);
+      EXPECT_EQ(r.u32(), shard);
+      EXPECT_EQ(r.u32(), 3U);
+      const auto raw = r.take(blob.size());
+      EXPECT_TRUE(std::equal(raw.begin(), raw.end(), blob.begin()))
+          << "task " << shard << " lost the cached blob";
+      EXPECT_TRUE(r.exhausted());
+    } else if (frames[i].type == wire::FrameType::done) {
+      EXPECT_EQ(wire::parse_done(frames[i].payload), shard);
+      ++shard;
+    } else {
+      const obs::Snapshot delta = obs::parse_snapshot(frames[i].payload);
+      bool timed = false;
+      for (const auto& h : delta.histograms) {
+        timed = timed || (h.name == "exec.shard.worker_ns" && h.count == 1);
+      }
+      EXPECT_TRUE(timed) << "obs delta must carry this task's timing";
+    }
+  }
+  EXPECT_EQ(exit_status(worker.pid), 0);
+  expect_no_zombies();
+}
+
+TEST(ShardWorkerLoop, StreamCutMidFrameGetsAStructuredError) {
+  HMDIV_SKIP_FORK_UNDER_TSAN();
+  std::vector<std::uint8_t> stream = echo_task_frame(0, {1, 2, 3});
+  stream.resize(stream.size() - 5);
+  const WorkerProcess worker = spawn_shard_worker();
+  const std::vector<wire::Frame> frames = send_and_collect(worker, stream);
+  ASSERT_EQ(frames.size(), 1U);
+  EXPECT_EQ(frames[0].type, wire::FrameType::error);
+  wire::Reader r(frames[0].payload);
+  EXPECT_NE(r.str().find("truncated"), std::string::npos);
+  EXPECT_EQ(exit_status(worker.pid), 3);
   expect_no_zombies();
 }
 

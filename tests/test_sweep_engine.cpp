@@ -1,5 +1,5 @@
-// Tests for the analytical sweep engine (core/tradeoff.hpp batch kernels,
-// sweep cache, and the zero-allocation contract on exec workspaces).
+// Tests for the analytical sweep engine (core/tradeoff.hpp batch kernels
+// and the zero-allocation contract on exec workspaces).
 //
 // This TU replaces the global operator new/delete with counting versions so
 // the steady-state "no heap allocation" contract of sweep_into and
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -34,22 +35,89 @@
 // by construction here.
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
+// Every replaceable allocation function is replaced, so every new/delete
+// pair in the binary goes through malloc/free (aligned_alloc/free for the
+// over-aligned forms) and counts once per allocation. Replacing only some
+// forms would let a sanitizer's own nothrow/aligned new hand a block to
+// the replaced delete: std::stable_sort's temporary buffer does exactly
+// that, and ASan rejects it as alloc-dealloc-mismatch.
 namespace {
+
 std::atomic<std::uint64_t> g_heap_allocations{0};
+
+void* counted_alloc(std::size_t size) noexcept {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_alloc(std::size_t size, std::align_val_t align) noexcept {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto alignment = static_cast<std::size_t>(align);
+  // aligned_alloc wants a non-zero size that is a multiple of the alignment.
+  const std::size_t rounded =
+      (std::max<std::size_t>(size, 1) + alignment - 1) / alignment *
+      alignment;
+  return std::aligned_alloc(alignment, rounded);
+}
+
+void* counted_alloc_or_throw(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
+  return counted_alloc_or_throw(counted_alloc(size));
+}
+void* operator new[](std::size_t size) {
+  return counted_alloc_or_throw(counted_alloc(size));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc_or_throw(counted_alloc(size, align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc_or_throw(counted_alloc(size, align));
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc(size, align);
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
 void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace hmdiv::test {
 
@@ -233,57 +301,8 @@ TEST(SweepEngine, MinimiseCostIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(delta, 0u);
 }
 
-TEST(SweepEngine, SweepCacheServesRepeatedGrids) {
-  const auto analyzer = reference_analyzer();
-  analyzer.set_sweep_cache_capacity(2);
-  const std::vector<double> grid = make_grid(512, -2.0, 2.0);
-
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  const auto first = analyzer.sweep(grid, exec::Config{1});
-  const auto second = analyzer.sweep(grid, exec::Config{1});
-  obs::set_enabled(false);
-
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    ASSERT_TRUE(points_bitwise_equal(first[i], second[i])) << i;
-  }
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  for (const auto& c : obs::registry_snapshot().counters) {
-    if (c.name == "core.sweep.cache_hit") hits = c.value;
-    if (c.name == "core.sweep.cache_miss") misses = c.value;
-  }
-  EXPECT_EQ(hits, 1u);
-  EXPECT_EQ(misses, 1u);
-}
-
-TEST(SweepEngine, SweepCacheEvictsOldestFirst) {
-  const auto analyzer = reference_analyzer();
-  analyzer.set_sweep_cache_capacity(1);
-  const std::vector<double> first = make_grid(128, -2.0, 2.0);
-  const std::vector<double> second = make_grid(128, -1.0, 1.0);
-
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  static_cast<void>(analyzer.sweep(first, exec::Config{1}));   // miss, cached
-  static_cast<void>(analyzer.sweep(first, exec::Config{1}));   // hit
-  static_cast<void>(analyzer.sweep(second, exec::Config{1}));  // miss, evicts
-  static_cast<void>(analyzer.sweep(first, exec::Config{1}));   // miss again
-  obs::set_enabled(false);
-
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  for (const auto& c : obs::registry_snapshot().counters) {
-    if (c.name == "core.sweep.cache_hit") hits = c.value;
-    if (c.name == "core.sweep.cache_miss") misses = c.value;
-  }
-  EXPECT_EQ(hits, 1u);
-  EXPECT_EQ(misses, 3u);
-}
-
 TEST(SweepEngine, DisabledCacheRecomputes) {
-  const auto analyzer = reference_analyzer();  // capacity 0 by default
+  const auto analyzer = reference_analyzer();  // no cache in front of sweep()
   const std::vector<double> grid = make_grid(64, -1.0, 1.0);
   obs::set_enabled(true);
   obs::Registry::global().reset();
