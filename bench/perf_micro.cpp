@@ -8,6 +8,7 @@
 // numbers should show close to min(4, N)x throughput.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <numeric>
 #include <span>
 #include <string>
@@ -306,6 +307,51 @@ BENCHMARK(BM_BootstrapScaling)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// The --profile bootstrap phase: 500 replicates of the mean of a
+// 200k-case 0/1 trial outcome vector, one thread. Row case_level:1 is
+// the base (bootstrap_percentile redraws all 200k outcomes per
+// replicate); case_level:0 is bootstrap_counts over the same sample's
+// two cells (one binomial draw per replicate).
+void BM_BootstrapCounts(benchmark::State& state) {
+  const bool case_level = state.range(0) != 0;
+  const exec::Config config{1};
+  constexpr std::size_t kCases = 200'000;
+  constexpr std::size_t kReplicates = 500;
+  std::vector<double> sample(kCases);
+  stats::Rng fill(7);
+  for (double& v : sample) v = fill.bernoulli(0.2352) ? 1.0 : 0.0;
+  const auto failed = static_cast<std::uint64_t>(
+      std::accumulate(sample.begin(), sample.end(), 0.0));
+  const double values[2] = {0.0, 1.0};
+  const std::uint64_t counts[2] = {kCases - failed, failed};
+  const stats::Statistic mean = [](std::span<const double> s) {
+    return std::accumulate(s.begin(), s.end(), 0.0) /
+           static_cast<double>(s.size());
+  };
+  const stats::CountStatistic count_mean =
+      [](std::span<const double> v, std::span<const std::uint64_t> c) {
+        return (v[0] * static_cast<double>(c[0]) +
+                v[1] * static_cast<double>(c[1])) /
+               static_cast<double>(c[0] + c[1]);
+      };
+  for (auto _ : state) {
+    stats::Rng rng(42);
+    benchmark::DoNotOptimize(
+        case_level ? stats::bootstrap_percentile(sample, mean, rng,
+                                                 kReplicates, 0.95, config)
+                   : stats::bootstrap_counts(values, counts, count_mean, rng,
+                                             kReplicates, 0.95, config));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kReplicates));
+}
+BENCHMARK(BM_BootstrapCounts)
+    ->ArgName("case_level")
+    ->Arg(1)
+    ->Arg(0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_UncertaintyScaling(benchmark::State& state) {
   const exec::Config config{static_cast<unsigned>(state.range(0))};

@@ -16,8 +16,10 @@
 // FILE writes the same snapshot as CSV. --workers HOST:PORT,... fans the
 // profiling workload out over remote hmdiv_serve daemons instead of local
 // worker processes (DESIGN.md §15); results stay bit-identical.
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -181,19 +183,27 @@ void run_profiling_workload(const core::SequentialModel& model,
   const double predicted = model.system_failure_probability(trial);
 
   // Bootstrap phase: percentile interval on the observed failure rate.
-  std::vector<double> failures;
-  failures.reserve(data.records.size());
-  for (const auto& record : data.records) {
-    failures.push_back(record.human_failed ? 1.0 : 0.0);
-  }
-  const auto mean_statistic = [](std::span<const double> s) {
-    double total = 0.0;
-    for (const double v : s) total += v;
-    return total / static_cast<double>(s.size());
+  // The outcomes are 0/1, so the sample is two cells and each replicate
+  // is one binomial draw (stats::bootstrap_counts).
+  const auto failed = static_cast<std::uint64_t>(
+      std::count_if(data.records.begin(), data.records.end(),
+                    [](const auto& record) { return record.human_failed; }));
+  const double outcomes[2] = {0.0, 1.0};
+  const std::uint64_t outcome_counts[2] = {data.records.size() - failed,
+                                           failed};
+  const auto mean_statistic = [](std::span<const double> values,
+                                 std::span<const std::uint64_t> counts) {
+    double total = 0.0, n = 0.0;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      total += values[i] * static_cast<double>(counts[i]);
+      n += static_cast<double>(counts[i]);
+    }
+    return total / n;
   };
   stats::Rng rng(7);
-  const auto interval = stats::bootstrap_percentile(
-      failures, mean_statistic, rng, /*replicates=*/samples, 0.95, config);
+  const auto interval = stats::bootstrap_counts(
+      outcomes, outcome_counts, mean_statistic, rng, /*replicates=*/samples,
+      0.95, config);
 
   // Uncertainty phase: rebuild the per-class trial counts from the
   // simulated records and propagate the Beta posteriors through Eq. (8)

@@ -8,6 +8,7 @@
 // (the caller's rng advances by exactly one step either way).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -46,6 +47,27 @@ using PairedStatistic =
 [[nodiscard]] BootstrapResult bootstrap_paired(
     std::span<const double> x, std::span<const double> y,
     const PairedStatistic& statistic, Rng& rng, std::size_t replicates = 2000,
+    double confidence = 0.95,
+    const exec::Config& config = exec::default_config());
+
+/// A statistic of a weighted support: the sample holds `values[i]`
+/// `counts[i]` times.
+using CountStatistic = std::function<double(
+    std::span<const double> values, std::span<const std::uint64_t> counts)>;
+
+/// Percentile bootstrap over a weighted support: the same resampling
+/// distribution as bootstrap_percentile over the sample that repeats
+/// values[i] counts[i] times, at O(cells) instead of O(sample) per
+/// replicate. Replicate r redraws the counts as one Multinomial(N,
+/// counts/N) from substream Rng(base, r) by sequential conditional
+/// binomials (for 0/1 data, a single binomial draw), so results are
+/// bit-identical at any thread count but not bitwise equal to the
+/// case-level path. Throws if the support is empty, the spans differ in
+/// size, the counts are all zero or overflow their sum, replicates == 0,
+/// or confidence is outside (0, 1).
+[[nodiscard]] BootstrapResult bootstrap_counts(
+    std::span<const double> values, std::span<const std::uint64_t> counts,
+    const CountStatistic& statistic, Rng& rng, std::size_t replicates = 2000,
     double confidence = 0.95,
     const exec::Config& config = exec::default_config());
 

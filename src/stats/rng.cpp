@@ -530,11 +530,133 @@ double Rng::beta(const GammaPrep& a, const GammaPrep& b) {
   return x / (x + y);
 }
 
+namespace {
+
+/// Stirling-series remainder log(k!) − [(k+½)·log(k+1) − (k+1) + ½·log(2π)],
+/// tabulated for k < 10 and from the series' first three terms beyond
+/// (as in Hörmann 1993).
+double stirling_tail(double k) {
+  static constexpr double kTable[10] = {
+      0.08106146679532726, 0.04134069595540929, 0.02767792568499834,
+      0.02079067210376509, 0.01664469118982119, 0.01387612882307075,
+      0.01189670994589177, 0.01041126526197209, 0.009255462182712733,
+      0.008330563433362871};
+  if (k < 10.0) return kTable[static_cast<std::size_t>(k)];
+  const double inv = 1.0 / (k + 1.0);
+  const double inv2 = inv * inv;
+  return (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) * inv;
+}
+
+/// Binomial(n, p), p <= 1/2, n·p < 10, by sequential-search inversion of
+/// the CDF from 0: expected cost O(n·p + 1). The pmf recurrence
+/// f(x) = f(x−1)·((n+1)·s/x − s), s = p/q, starts from f(0) = q^n > e^−14
+/// (n·p < 10 and p ≤ ½), so it never starts underflowed. A uniform whose
+/// residual outlives the pmf (rounding left it above the last
+/// representable mass) is redrawn.
+std::uint64_t binomial_inversion(Rng& rng, std::uint64_t n, double p) {
+  const double s = p / (1.0 - p);
+  const double a = (static_cast<double>(n) + 1.0) * s;
+  const double f0 = std::exp(static_cast<double>(n) * std::log1p(-p));
+  for (;;) {
+    double u = rng.uniform();
+    double f = f0;
+    std::uint64_t x = 0;
+    while (u > f && f > 0.0 && x < n) {
+      u -= f;
+      ++x;
+      f *= a / static_cast<double>(x) - s;
+    }
+    if (u <= f) return x;
+  }
+}
+
+/// Binomial(n, p), p <= 1/2, n·p >= 10, by Hörmann's BTRD: transformed
+/// rejection with decomposition ("The generation of binomial random
+/// variates", J. Statist. Comput. Simul. 46, 1993). Expected cost O(1);
+/// as n·p·(1−p) grows, 0.86·0.92 ≈ 79% of draws are accepted from their
+/// first uniform, without evaluating the pmf.
+std::uint64_t binomial_btrd(Rng& rng, std::uint64_t n, double p) {
+  const double nd = static_cast<double>(n);
+  const double m = std::floor((nd + 1.0) * p);
+  const double r = p / (1.0 - p);
+  const double nr = (nd + 1.0) * r;
+  const double npq = nd * p * (1.0 - p);
+  const double sqrt_npq = std::sqrt(npq);
+  const double b = 1.15 + 2.53 * sqrt_npq;
+  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
+  const double c = nd * p + 0.5;
+  const double alpha = (2.83 + 5.1 / b) * sqrt_npq;
+  const double v_r = 0.92 - 4.2 / b;
+  const double u_rv_r = 0.86 * v_r;
+  for (;;) {
+    // Step 1: the central box, accepted with no further test.
+    double v = rng.uniform();
+    if (v <= u_rv_r) {
+      const double u = v / v_r - 0.43;
+      return static_cast<std::uint64_t>(
+          std::floor((2.0 * a / (0.5 - std::fabs(u)) + b) * u + c));
+    }
+    // Step 2: a point under the hat outside the box.
+    double u;
+    if (v >= v_r) {
+      u = rng.uniform() - 0.5;
+    } else {
+      u = v / v_r - 0.93;
+      u = (u < 0.0 ? -0.5 : 0.5) - u;
+      v = rng.uniform() * v_r;
+    }
+    // Step 3: candidate k, accepted against f(k)/f(m).
+    const double us = 0.5 - std::fabs(u);
+    const double k = std::floor((2.0 * a / us + b) * u + c);
+    if (k < 0.0 || k > nd) continue;
+    v = v * alpha / (a / (us * us) + b);
+    const double km = std::fabs(k - m);
+    if (km <= 15.0) {
+      // 3.1: the pmf ratio by its recurrence, one factor per step.
+      double f = 1.0;
+      if (m < k) {
+        for (double i = m + 1.0; i <= k; i += 1.0) f *= nr / i - r;
+      } else {
+        for (double i = k + 1.0; i <= m; i += 1.0) v *= nr / i - r;
+      }
+      if (v <= f) return static_cast<std::uint64_t>(k);
+      continue;
+    }
+    // 3.2: squeeze on log f(k)/f(m) around its normal approximation.
+    v = std::log(v);
+    const double rho =
+        (km / npq) * (((km / 3.0 + 0.625) * km + 1.0 / 6.0) / npq + 0.5);
+    const double t = -km * km / (2.0 * npq);
+    if (v < t - rho) return static_cast<std::uint64_t>(k);
+    if (v > t + rho) continue;
+    // 3.3: exact test through Stirling's formula with its remainders.
+    const double nm = nd - m + 1.0;
+    const double h = (m + 0.5) * std::log((m + 1.0) / (r * nm)) +
+                     stirling_tail(m) + stirling_tail(nd - m);
+    const double nk = nd - k + 1.0;
+    if (v <= h + (nd + 1.0) * std::log(nm / nk) +
+                 (k + 0.5) * std::log(nk * r / (k + 1.0)) - stirling_tail(k) -
+                 stirling_tail(nd - k)) {
+      return static_cast<std::uint64_t>(k);
+    }
+  }
+}
+
+}  // namespace
+
 std::uint64_t Rng::binomial(std::uint64_t n, double p) {
-  if (p < 0.0 || p > 1.0) throw std::invalid_argument("Rng::binomial: p outside [0,1]");
-  std::uint64_t successes = 0;
-  for (std::uint64_t i = 0; i < n; ++i) successes += bernoulli(p) ? 1 : 0;
-  return successes;
+  if (!(p >= 0.0 && p <= 1.0)) {
+    throw std::invalid_argument("Rng::binomial: p outside [0,1]");
+  }
+  if (n == 0 || p == 0.0) return 0;
+  if (p == 1.0) return n;
+  // Both samplers need p <= 1/2; the upper half draws failures instead.
+  const bool flip = p > 0.5;
+  const double q = flip ? 1.0 - p : p;
+  const std::uint64_t x = static_cast<double>(n) * q < 10.0
+                              ? binomial_inversion(*this, n, q)
+                              : binomial_btrd(*this, n, q);
+  return flip ? n - x : x;
 }
 
 std::size_t Rng::discrete(std::span<const double> weights) {

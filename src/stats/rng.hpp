@@ -124,9 +124,11 @@ class Rng {
   void fill_beta(const GammaPrep& a, const GammaPrep& b,
                  std::span<double> out) noexcept;
 
-  /// Binomial(n, p) by inversion for small n, otherwise by summed Bernoulli
-  /// (n in this codebase is at most a trial size, so O(n) is acceptable and
-  /// keeps the generator simple and exactly reproducible).
+  /// Exact Binomial(n, p) in O(1) expected time: CDF inversion when
+  /// n·min(p, 1−p) < 10, Hörmann's BTRD transformed rejection otherwise
+  /// (for p > ½ it draws the failures). n = 0, p = 0 and p = 1 return
+  /// their exact value without consuming the stream. Throws if p is
+  /// outside [0, 1] or NaN.
   std::uint64_t binomial(std::uint64_t n, double p);
 
   /// Samples an index from a discrete distribution given non-negative

@@ -5,11 +5,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
+#include "stats/distributions.hpp"
+#include "stats/hypothesis.hpp"
 #include "stats/summary.hpp"
 
 namespace hmdiv::stats {
@@ -114,6 +117,62 @@ TEST(Rng, BinomialMeanMatches) {
   }
   EXPECT_NEAR(s.mean(), 10.0, 0.1);
   EXPECT_THROW(rng.binomial(10, 1.5), std::invalid_argument);
+  EXPECT_THROW(rng.binomial(10, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+}
+
+/// Chi-square goodness of fit of 100k Binomial(n, p) draws against
+/// binomial_pmf. One cell per value over the central run where every
+/// expected count is at least 5; each tail beyond it is pooled into the
+/// end cell, whose expected count is then at least 5 too.
+double binomial_fit_p_value(std::uint64_t n, double p, std::uint64_t seed) {
+  constexpr double kDraws = 100'000;
+  const auto pmf = [&](std::uint64_t k) { return binomial_pmf(n, p, k); };
+  const std::uint64_t mode = std::min(
+      n, static_cast<std::uint64_t>((static_cast<double>(n) + 1.0) * p));
+  std::uint64_t lo = mode, hi = mode;
+  while (lo > 0 && pmf(lo - 1) * kDraws >= 5.0) --lo;
+  while (hi < n && pmf(hi + 1) * kDraws >= 5.0) ++hi;
+  // Cells: [0, lo], lo+1, ..., hi−1, [hi, n].
+  std::vector<double> expected{binomial_cdf(n, p, lo)};
+  for (std::uint64_t k = lo + 1; k < hi; ++k) expected.push_back(pmf(k));
+  expected.push_back(1.0 - binomial_cdf(n, p, hi - 1));
+  std::vector<std::uint64_t> observed(expected.size(), 0);
+  Rng rng(seed);
+  for (int i = 0; i < static_cast<int>(kDraws); ++i) {
+    const std::uint64_t x = rng.binomial(n, p);
+    EXPECT_LE(x, n);
+    ++observed[x <= lo ? 0 : x >= hi ? observed.size() - 1 : x - lo];
+  }
+  return chi_square_goodness_of_fit(observed, expected).p_value;
+}
+
+TEST(Rng, BinomialMatchesPmfAcrossSamplers) {
+  // n·min(p, 1−p) < 10 inverts the CDF, anything else takes BTRD.
+  // (1000, 0.004) and (25, 0.35) invert; (40, 0.25) sits on the switch
+  // and takes BTRD, as do the trial-sized pairs, (200000, 0.97) through
+  // the p > ½ flip. At (2000, 0.25) BTRD often reaches its final
+  // Stirling-formula test, which the huge-n pairs rarely resolve.
+  struct Case {
+    std::uint64_t n;
+    double p;
+  };
+  std::uint64_t seed = 41;
+  for (const Case c :
+       {Case{40, 0.25}, Case{1000, 0.004}, Case{25, 0.35}, Case{2000, 0.25},
+        Case{200'000, 0.2352}, Case{200'000, 0.97}}) {
+    EXPECT_GT(binomial_fit_p_value(c.n, c.p, seed++), 1e-3)
+        << "n=" << c.n << " p=" << c.p;
+  }
+}
+
+TEST(Rng, BinomialEdgeCasesAreExact) {
+  Rng rng(43);
+  for (const double p : {0.0, 0.3, 1.0}) EXPECT_EQ(rng.binomial(0, p), 0u);
+  for (const std::uint64_t n : {1ULL, 17ULL, 200'000ULL}) {
+    EXPECT_EQ(rng.binomial(n, 0.0), 0u);
+    EXPECT_EQ(rng.binomial(n, 1.0), n);
+  }
 }
 
 TEST(Rng, DiscreteRespectsWeights) {
