@@ -6,27 +6,16 @@
 // as responses drain, rotating through a fixed set of distinct parameter
 // vectors.
 //
-// Two modes:
-//  * Default (PR 7 shape): warm-cache `whatif` workload, reports QPS and
-//    p50/p99 latency, writes BENCH_pr7_serve_qps.json (or --out).
-//    --endpoint uq|mixed and --cold-cache change the workload;
-//    --batch-max/--batch-wait-us/--compute-threads turn on request
-//    coalescing (DESIGN.md §14).
-//  * --matrix (PR 8): cold-cache mixed whatif+uq workload measured with
-//    batching off and on at 2/8/16 connections (fresh Service per cell),
-//    writes BENCH_pr8_batch_serve.json. On a one-core CI box coalescing
-//    buys little wall-clock, so the gate is an overhead bound — batching
-//    on must stay within 10% of batching off in aggregate — rather than
-//    a speedup target; the cell numbers are recorded for boxes where the
-//    kernels can actually run side by side.
+// The default workload is warm-cache `whatif`; --endpoint uq|mixed and
+// --cold-cache change it. Reports QPS and p50/p99 latency and writes
+// BENCH_pr7_serve_qps.json (or --out).
 //
 // Exit is non-zero only on a correctness failure (server error response,
-// short read, connect failure) or, under --matrix, the overhead gate.
+// short read, connect failure).
 //
 //   serve_load [--seconds S] [--connections N] [--pipeline W]
 //              [--distinct K] [--endpoint whatif|uq|mixed] [--mix PCT]
-//              [--cold-cache] [--batch-max N] [--batch-wait-us N]
-//              [--compute-threads N] [--matrix] [--out FILE]
+//              [--cold-cache] [--out FILE]
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -189,9 +178,6 @@ struct RunConfig {
   std::string endpoint = "whatif";  // whatif | uq | mixed
   std::size_t mix_pct = 10;         // % of uq lines under "mixed"
   bool cold_cache = false;
-  std::size_t batch_max = 1;
-  std::uint64_t batch_wait_us = 100;
-  unsigned compute_threads = 1;
 };
 
 struct RunResult {
@@ -213,8 +199,8 @@ std::vector<std::string> make_requests(const RunConfig& config) {
         (config.endpoint == "mixed" && (k % 100) < config.mix_pct);
     std::string line;
     if (uq_line) {
-      // Small draw count: the point is coalescing pressure, not posterior
-      // resolution, and matrix cells must finish quickly on one core.
+      // Small draw count: the point is request throughput, not posterior
+      // resolution.
       line = "{\"op\":\"uq\",\"id\":";
       line += std::to_string(k);
       line += ",\"params\":{\"draws\":128,\"seed\":";
@@ -244,13 +230,10 @@ RunResult run_once(const RunConfig& config) {
 
   serve::ServiceOptions service_options;
   service_options.max_concurrent = config.connections;
-  // Admission and batch queues must hold a full pipeline burst from every
+  // The admission queue must hold a full pipeline burst from every
   // connection, and queue wait must not eat the request deadline.
   service_options.max_queue = config.connections * config.window + 64;
   service_options.default_deadline_ms = 60'000;
-  service_options.batch_max = config.batch_max;
-  service_options.batch_wait_us = config.batch_wait_us;
-  service_options.batch_workers = config.compute_threads;
   if (config.cold_cache) {
     service_options.whatif_cache_capacity = 0;
     service_options.sweep_cache_capacity = 0;
@@ -317,91 +300,10 @@ RunResult run_once(const RunConfig& config) {
   return result;
 }
 
-int run_matrix(RunConfig base, const std::string& out_path) {
-  // Cold-cache mixed workload: the batched whatif kernel and the
-  // per-request uq compute both run every time, which is the regime
-  // coalescing targets.
-  base.endpoint = "mixed";
-  base.cold_cache = true;
-
-  const std::size_t kBatchSettings[] = {1, 8};
-  const std::size_t kConnections[] = {2, 8, 16};
-
-  std::string rows;
-  double qps_off_total = 0.0;
-  double qps_on_total = 0.0;
-  bool all_ok = true;
-  for (const std::size_t batch_max : kBatchSettings) {
-    for (const std::size_t connections : kConnections) {
-      RunConfig cell = base;
-      cell.batch_max = batch_max;
-      cell.connections = connections;
-      const RunResult r = run_once(cell);
-      all_ok = all_ok && r.transport_ok && r.errors == 0 && r.responses > 0;
-      if (batch_max <= 1) {
-        qps_off_total += r.qps;
-      } else {
-        qps_on_total += r.qps;
-      }
-      char row[512];
-      std::snprintf(
-          row, sizeof row,
-          "%s{\"batch_max\":%zu,\"connections\":%zu,\"qps\":%.0f,"
-          "\"responses\":%llu,\"errors\":%llu,\"p50_ns\":%llu,"
-          "\"p99_ns\":%llu}",
-          rows.empty() ? "" : ",", batch_max, connections, r.qps,
-          static_cast<unsigned long long>(r.responses),
-          static_cast<unsigned long long>(r.errors),
-          static_cast<unsigned long long>(r.p50_ns),
-          static_cast<unsigned long long>(r.p99_ns));
-      rows += row;
-      std::printf(
-          "serve_load: batch_max=%zu conns=%zu: %.0f QPS "
-          "(%llu responses, %llu errors, p50 %.1fus, p99 %.1fus)\n",
-          batch_max, connections, r.qps,
-          static_cast<unsigned long long>(r.responses),
-          static_cast<unsigned long long>(r.errors),
-          static_cast<double>(r.p50_ns) / 1e3,
-          static_cast<double>(r.p99_ns) / 1e3);
-    }
-  }
-
-  const bool overhead_ok = qps_on_total >= 0.9 * qps_off_total;
-  char json[4096];
-  std::snprintf(
-      json, sizeof json,
-      "{\"bench\":\"pr8_batch_serve\",\"endpoint\":\"mixed\","
-      "\"mix_pct\":%zu,\"pipeline\":%zu,\"distinct\":%zu,"
-      "\"seconds_per_cell\":%.3f,\"cold_cache\":true,"
-      "\"rows\":[%s],"
-      "\"qps_off_total\":%.0f,\"qps_on_total\":%.0f,"
-      "\"overhead_gate\":0.9,\"overhead_ok\":%s}",
-      base.mix_pct, base.window, base.distinct, base.seconds, rows.c_str(),
-      qps_off_total, qps_on_total, overhead_ok ? "true" : "false");
-  std::cout << json << "\n";
-  {
-    std::ofstream out(out_path);
-    out << json << "\n";
-  }
-
-  if (!all_ok) {
-    std::cerr << "serve_load: FAILED (matrix cell error)\n";
-    return 1;
-  }
-  if (!overhead_ok) {
-    std::cerr << "serve_load: FAILED (batching on lost more than 10% "
-                 "aggregate QPS: "
-              << qps_on_total << " vs " << qps_off_total << ")\n";
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   RunConfig config;
-  bool matrix = false;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -431,15 +333,6 @@ int main(int argc, char** argv) {
       config.mix_pct = std::min<std::size_t>(100, std::stoul(value()));
     } else if (arg == "--cold-cache") {
       config.cold_cache = true;
-    } else if (arg == "--batch-max") {
-      config.batch_max = std::max<std::size_t>(1, std::stoul(value()));
-    } else if (arg == "--batch-wait-us") {
-      config.batch_wait_us = std::stoul(value());
-    } else if (arg == "--compute-threads") {
-      config.compute_threads =
-          static_cast<unsigned>(std::max<unsigned long>(1, std::stoul(value())));
-    } else if (arg == "--matrix") {
-      matrix = true;
     } else if (arg == "--out") {
       out_path = value();
     } else {
@@ -453,13 +346,6 @@ int main(int argc, char** argv) {
 
   hmdiv::obs::set_enabled(true);
 
-  if (matrix) {
-    if (out_path.empty()) out_path = "BENCH_pr8_batch_serve.json";
-    // Matrix cells pipeline a moderate window so the largest cell
-    // (16 conns) keeps its backlog well under the admission queue bound.
-    config.window = 32;
-    return run_matrix(config, out_path);
-  }
   if (out_path.empty()) out_path = "BENCH_pr7_serve_qps.json";
 
   const RunResult r = run_once(config);
@@ -468,13 +354,13 @@ int main(int argc, char** argv) {
   std::snprintf(json, sizeof json,
                 "{\"bench\":\"pr7_serve_qps\",\"endpoint\":\"%s\","
                 "\"connections\":%zu,\"pipeline\":%zu,\"distinct\":%zu,"
-                "\"cold_cache\":%s,\"batch_max\":%zu,"
+                "\"cold_cache\":%s,"
                 "\"seconds\":%.3f,\"responses\":%llu,\"errors\":%llu,"
                 "\"qps\":%.0f,\"p50_ns\":%llu,\"p99_ns\":%llu,"
                 "\"target_qps\":50000,\"met_target\":%s}",
                 config.endpoint.c_str(), config.connections, config.window,
                 config.distinct, config.cold_cache ? "true" : "false",
-                config.batch_max, r.elapsed,
+                r.elapsed,
                 static_cast<unsigned long long>(r.responses),
                 static_cast<unsigned long long>(r.errors), r.qps,
                 static_cast<unsigned long long>(r.p50_ns),

@@ -5,7 +5,6 @@
 //               [--bind HOST:PORT] [--port N] [--address A] [--max-queue N]
 //               [--max-concurrent N] [--max-conns N] [--threads N]
 //               [--deadline-ms N] [--whatif-cache N] [--sweep-cache N]
-//               [--batch-max N] [--batch-wait-us N] [--compute-threads N]
 //               [--no-obs]
 //   hmdiv_serve --example [--port N] ...
 //
@@ -50,8 +49,7 @@ using namespace hmdiv;
          "                   [--max-concurrent N] [--max-conns N]\n"
          "                   [--threads N] [--deadline-ms N]\n"
          "                   [--whatif-cache N] [--sweep-cache N]\n"
-         "                   [--batch-max N] [--batch-wait-us N]\n"
-         "                   [--compute-threads N] [--no-obs]\n"
+         "                   [--no-obs]\n"
          "       hmdiv_serve --example [--port N] ...\n"
          "\n"
          "Serves the analysis endpoints (analyze, whatif, sweep, minimise,\n"
@@ -70,12 +68,7 @@ using namespace hmdiv;
          "--deadline-ms N is the default per-request deadline (default\n"
          "1000).\n"
          "--whatif-cache/--sweep-cache N size the shared result caches\n"
-         "(entries; 0 disables). --no-obs disables the serve.* metrics.\n"
-         "--batch-max N coalesces up to N concurrent requests per\n"
-         "endpoint onto the batched kernels (default 1 = off);\n"
-         "--batch-wait-us N bounds how long a forming batch waits for\n"
-         "company (default 100; never past a request deadline);\n"
-         "--compute-threads N sizes the batching worker pool (default 1).\n";
+         "(entries; 0 disables). --no-obs disables the serve.* metrics.\n";
   std::exit(exit_code);
 }
 
@@ -154,16 +147,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--sweep-cache") {
       service_options.sweep_cache_capacity = cli::parse_bounded_ulong(
           "hmdiv_serve", "--sweep-cache", next(i), 0, 1'000'000);
-    } else if (arg == "--batch-max") {
-      service_options.batch_max = cli::parse_bounded_ulong(
-          "hmdiv_serve", "--batch-max", next(i), 1, 4096);
-    } else if (arg == "--batch-wait-us") {
-      service_options.batch_wait_us = cli::parse_bounded_ulong(
-          "hmdiv_serve", "--batch-wait-us", next(i), 0, 1'000'000);
-    } else if (arg == "--compute-threads") {
-      service_options.batch_workers =
-          static_cast<unsigned>(cli::parse_bounded_ulong(
-              "hmdiv_serve", "--compute-threads", next(i), 1, 1024));
     } else if (arg == "--no-obs") {
       obs_enabled = false;
     } else if (arg == "--help" || arg == "-h") {

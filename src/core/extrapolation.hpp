@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,34 +47,6 @@ struct ScenarioResult {
   FailureDecomposition decomposition;
 };
 
-/// One per-class machine-improvement entry. A trivial stand-in for
-/// std::pair (which is not trivially copyable) so spec arrays can live in
-/// an exec::Workspace arena.
-struct ClassFactor {
-  std::size_t class_index = 0;
-  double factor = 1.0;
-};
-
-/// A non-owning Scenario for the batch path: the profile and per-class
-/// factor list are views into caller-owned storage that must outlive the
-/// evaluate_batch call. Trivially copyable so callers can arena-store
-/// spans of specs.
-struct ScenarioSpec {
-  /// Target demand profile; nullptr means the trial profile.
-  const DemandProfile* profile = nullptr;
-  double reader_failure_factor = 1.0;
-  double machine_failure_factor = 1.0;
-  std::span<const ClassFactor> per_class_machine_factors;
-};
-
-/// ScenarioResult without the name label; trivially copyable.
-struct ScenarioNumbers {
-  double system_failure = 0.0;
-  double machine_failure = 0.0;
-  double failure_floor = 0.0;
-  FailureDecomposition decomposition;
-};
-
 /// Extrapolates a trial-estimated model to new environments.
 class Extrapolator {
  public:
@@ -97,17 +68,6 @@ class Extrapolator {
   /// Evaluates a batch of scenarios (convenience for benches/examples).
   [[nodiscard]] std::vector<ScenarioResult> evaluate_all(
       const std::vector<Scenario>& scenarios) const;
-
-  /// Batch counterpart of evaluate() over caller-provided spans: out[i]
-  /// receives exactly the numbers evaluate() would produce for specs[i] —
-  /// bit-identical, test-gated — with the per-spec SequentialModel copies
-  /// replaced by thread_workspace scratch, so the steady state performs
-  /// zero heap allocations (serving keeps its own keyed caches in front).
-  /// Throws std::invalid_argument on the same
-  /// conditions evaluate() rejects: incompatible profile, negative factor,
-  /// class index out of range.
-  void evaluate_batch(std::span<const ScenarioSpec> specs,
-                      std::span<ScenarioNumbers> out) const;
 
   /// Bounds the prediction when reader behaviour may drift within
   /// [worst_factor, best_factor] (e.g. from the literature on automation

@@ -27,9 +27,11 @@
 namespace hmdiv::exec {
 
 /// The NDJSON request a coordinator sends to switch a serve connection
-/// into binary shard mode. The daemon answers with a normal response line
-/// (`"ok":true` and `"shard":"ready"`); every byte after that response is
-/// HMDF frames.
+/// into binary shard mode. Every byte the coordinator sends after this
+/// line is HMDF frames, so it may pipeline task frames in the same write.
+/// The daemon answers with a normal response line (`"ok":true` and
+/// `"shard":"ready"`); every byte it sends after that response is HMDF
+/// frames.
 inline constexpr std::string_view kShardUpgradeLine =
     "{\"op\":\"shard\",\"id\":0}\n";
 

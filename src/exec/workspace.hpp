@@ -18,13 +18,7 @@
 //  - alloc<T>() returns *uninitialised* storage for trivially copyable,
 //    trivially destructible T — callers must write before reading.
 //  - A Workspace is single-threaded. thread_workspace() gives each thread
-//    its own; never share one across threads. One carve-out: because
-//    blocks never relocate once handed out, storage allocated under an
-//    open Scope may be *read* by another thread, provided the owning
-//    thread keeps that Scope open until the reader is done and the
-//    handoff is synchronised (e.g. through a mutex, as in the serve
-//    batching path where connection threads park parsed requests for a
-//    compute worker).
+//    its own; never share one across threads.
 //  - Memory is never returned to the OS until the Workspace dies; the
 //    high-water mark is the steady-state footprint.
 //

@@ -6,10 +6,8 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -225,48 +223,6 @@ bool Server::send_all(int fd, const char* data, std::size_t size) {
   return true;
 }
 
-bool Server::send_all_vec(int fd, std::vector<iovec>& iov) {
-  // sendmsg rather than writev: writev raises SIGPIPE on a dead peer,
-  // and MSG_NOSIGNAL is a per-call flag only sendmsg/send accept.
-  constexpr std::size_t kIovChunk = 64;  // safely under any IOV_MAX
-  std::size_t first = 0;
-  while (first < iov.size()) {
-    msghdr msg{};
-    msg.msg_iov = iov.data() + first;
-    msg.msg_iovlen = std::min(iov.size() - first, kIovChunk);
-    const ssize_t rc = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (rc <= 0) {
-      if (rc < 0 && errno == EINTR) continue;
-      // Same contract as send_all: a timed-out sendmsg mid-iovec used to
-      // drop the rest of the burst with no trace; the close is now
-      // attributed. iov still holds exactly the unsent tail (partial
-      // sends advanced it), so a resume-from-offset policy could retry —
-      // a peer making zero progress for a full window is dead, though,
-      // so closing is the right call.
-      if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        HMDIV_OBS_COUNT("serve.conn.send_timeout", 1);
-      } else {
-        HMDIV_OBS_COUNT("serve.conn.send_error", 1);
-      }
-      return false;
-    }
-    // Advance past fully-sent entries; trim a partially-sent one.
-    std::size_t advanced = static_cast<std::size_t>(rc);
-    while (advanced > 0) {
-      iovec& entry = iov[first];
-      if (advanced >= entry.iov_len) {
-        advanced -= entry.iov_len;
-        ++first;
-      } else {
-        entry.iov_base = static_cast<char*>(entry.iov_base) + advanced;
-        entry.iov_len -= advanced;
-        advanced = 0;
-      }
-    }
-  }
-  return true;
-}
-
 void Server::connection_loop(Connection& connection) {
   RequestScratch scratch;
   std::string in;
@@ -276,52 +232,20 @@ void Server::connection_loop(Connection& connection) {
   bool oversized = false;
   char buffer[64 * 1024];
 
-  // Batched mode: every complete line in a read burst is handed to the
-  // Service as one group so compute can coalesce across connections, and
-  // the group's responses flush with one vectored send. These vectors are
-  // reused across bursts so the steady state allocates nothing.
-  const bool batching = service_.batching();
-  std::vector<std::string_view> lines;
-  std::vector<std::string> responses;
-  std::vector<iovec> iov;
-
-  // Answers every complete line currently buffered. Returns false when
-  // the connection must close (oversized unfinished line).
+  // Answers every complete line currently buffered, stopping after a
+  // shard upgrade: the bytes behind the upgrade line are HMDF frames for
+  // shard_loop, never NDJSON. Returns false when the connection must
+  // close (oversized unfinished line).
   const auto process_buffered = [&]() -> bool {
-    if (batching) {
-      lines.clear();
-      std::size_t scan = consumed;
-      for (;;) {
-        const std::size_t newline = in.find('\n', scan);
-        if (newline == std::string::npos) break;
-        std::string_view line(in.data() + scan, newline - scan);
-        if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-        if (!line.empty()) lines.push_back(line);
-        scan = newline + 1;
-      }
-      if (!lines.empty()) {
-        service_.handle_lines(lines, scratch, responses);
-        iov.clear();
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-          if (responses[i].empty()) continue;
-          iovec entry{};
-          entry.iov_base = responses[i].data();
-          entry.iov_len = responses[i].size();
-          iov.push_back(entry);
-        }
-        if (!iov.empty()) peer_ok = send_all_vec(connection.fd, iov);
-      }
-      consumed = scan;
-    } else {
-      for (;;) {
-        const std::size_t newline = in.find('\n', consumed);
-        if (newline == std::string::npos) break;
-        std::string_view line(in.data() + consumed, newline - consumed);
-        if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-        if (!line.empty()) service_.handle_line(line, scratch, out);
-        consumed = newline + 1;
-      }
+    while (!scratch.shard_upgrade) {
+      const std::size_t newline = in.find('\n', consumed);
+      if (newline == std::string::npos) break;
+      std::string_view line(in.data() + consumed, newline - consumed);
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      if (!line.empty()) service_.handle_line(line, scratch, out);
+      consumed = newline + 1;
     }
+    if (scratch.shard_upgrade) return true;
     if (consumed == in.size()) {
       in.clear();
       consumed = 0;
@@ -337,13 +261,7 @@ void Server::connection_loop(Connection& connection) {
       static constexpr char kOversized[] =
           "{\"id\":null,\"ok\":false,\"error\":{\"code\":\"oversized\","
           "\"message\":\"request line exceeds the size limit\"}}\n";
-      if (batching) {
-        if (peer_ok) {
-          peer_ok = send_all(connection.fd, kOversized, sizeof kOversized - 1);
-        }
-      } else {
-        out += kOversized;
-      }
+      out += kOversized;
       return false;
     }
     return true;
@@ -367,10 +285,10 @@ void Server::connection_loop(Connection& connection) {
     if (!peer_ok) break;
     if (!resyncable) break;
     if (scratch.shard_upgrade) {
-      // The upgrade response is flushed; everything still buffered (and
-      // every byte hereafter) is HMDF frames. The shard loop owns the
-      // connection until the stream ends, then the socket closes —
-      // NDJSON never resumes on an upgraded connection.
+      // The upgrade response is flushed; everything buffered behind the
+      // upgrade line (and every byte hereafter) is HMDF frames. The shard
+      // loop owns the connection until the stream ends, then the socket
+      // closes — NDJSON never resumes on an upgraded connection.
       shard_loop(connection,
                  std::string_view(in.data() + consumed, in.size() - consumed));
       break;
@@ -381,8 +299,9 @@ void Server::connection_loop(Connection& connection) {
   // peer wrote before the stop signal may still be in flight or queued in
   // the kernel, so keep reading until the socket goes quiet for one grace
   // interval (bounded by kDrainMaxPolls so a chatty peer cannot stall
-  // shutdown indefinitely).
-  if (peer_ok && !oversized && stopping_.load(std::memory_order_acquire)) {
+  // shutdown indefinitely). An upgraded connection has no lines to drain.
+  if (peer_ok && !oversized && !scratch.shard_upgrade &&
+      stopping_.load(std::memory_order_acquire)) {
     constexpr int kDrainGraceMs = 25;
     constexpr int kDrainMaxPolls = 10;
     for (int polls = 0; polls < kDrainMaxPolls; ++polls) {

@@ -18,11 +18,11 @@
 // error response and is closed. Writes use send(MSG_NOSIGNAL) with a send
 // timeout so a stuck peer cannot wedge shutdown.
 //
-// Batched mode: when the Service runs a BatchExecutor
-// (service.batching()), each read burst's complete lines go through
-// Service::handle_lines — compute coalesces across connections — and the
-// burst's responses flush with one vectored sendmsg per group instead of
-// one send per response. Per-connection response order is unchanged.
+// Each complete line goes through Service::handle_line on the connection
+// thread, in arrival order; a read burst's responses flush with one send.
+// A `shard` request line ends line parsing: its response is flushed and
+// the rest of the connection, including any bytes the peer pipelined
+// behind the upgrade line, belongs to shard_loop.
 #pragma once
 
 #include <atomic>
@@ -36,8 +36,6 @@
 #include <vector>
 
 #include "serve/service.hpp"
-
-struct iovec;
 
 namespace hmdiv::serve {
 
@@ -92,19 +90,16 @@ class Server {
 
   void accept_loop();
   void connection_loop(Connection& connection);
-  /// Binary shard mode (DESIGN.md §15): entered when a burst's dispatch
-  /// set RequestScratch::shard_upgrade. `initial` is whatever the peer
-  /// pipelined behind the upgrade line — already frame bytes. Returns
+  /// Binary shard mode (DESIGN.md §15): entered once a `shard` request
+  /// set RequestScratch::shard_upgrade and its response has flushed.
+  /// `initial` is whatever the peer pipelined behind the upgrade line —
+  /// already frame bytes, never parsed as NDJSON. Returns
   /// when the stream ends (EOF, send failure, protocol error, shutdown);
   /// the caller closes the socket.
   void shard_loop(Connection& connection, std::string_view initial);
   /// Joins finished connection threads; returns the number still live.
   std::size_t reap_connections_locked();
   [[nodiscard]] bool send_all(int fd, const char* data, std::size_t size);
-  /// One-syscall group flush for batched mode: sendmsg with MSG_NOSIGNAL
-  /// over the iovec array (chunked under IOV_MAX), advancing through
-  /// partial sends. Consumes/modifies `iov`.
-  [[nodiscard]] static bool send_all_vec(int fd, std::vector<struct iovec>& iov);
 
   Service& service_;
   ServerOptions options_;

@@ -32,6 +32,16 @@ struct RequestError {
 constexpr std::size_t kSweepChunk = 2048;
 constexpr std::size_t kMinimiseChunk = 8192;
 
+/// Cap on the deadline a request may ask for.
+constexpr std::uint64_t kMaxDeadlineMs = 60'000;
+/// Input bounds on the expensive endpoints.
+constexpr std::uint64_t kMaxSweepSteps = 100'000;
+constexpr std::uint64_t kMaxUqDraws = 100'000;
+constexpr std::size_t kMaxCompareScenarios = 32;
+/// Synthetic per-class trial size used to derive posterior counts for the
+/// uq endpoint.
+constexpr std::uint64_t kUqCasesPerClass = 2000;
+
 void check_deadline(Service::Clock::time_point deadline) {
   if (Service::Clock::now() >= deadline) {
     throw RequestError{kDeadlineExceeded, "deadline expired mid-compute"};
@@ -154,24 +164,23 @@ void append_operating_point(std::string& out,
 // --- Endpoint registry ---------------------------------------------------
 
 // The single source of truth for dispatch: row i describes Endpoint i.
-// handle_line / handle_lines route by it, the BatchExecutor callback
-// interprets its `kind` through it, unknown_op checks scan its names, and
-// the constructor registers metrics from it — so a new endpoint is one
-// row plus one handler, and the paths can never disagree about the list.
+// handle_line routes by it, unknown_op checks scan its names, and the
+// constructor registers metrics from it — so a new endpoint is one row
+// plus one handler.
 const std::array<Service::EndpointEntry, Service::kEndpointCount>&
 Service::endpoint_table() {
   static const std::array<EndpointEntry, kEndpointCount> kTable = {{
-      // name, handler, compute, batchable, needs_state, cached
-      {"analyze", &Service::handle_analyze, true, true, true, false},
-      {"whatif", &Service::handle_whatif, true, true, true, true},
-      {"sweep", &Service::handle_sweep, true, true, true, true},
-      {"minimise", &Service::handle_minimise, true, true, true, true},
-      {"uq", &Service::handle_uq, true, true, true, true},
-      {"compare", &Service::handle_compare, true, true, true, false},
-      {"health", &Service::handle_health, false, false, true, false},
-      {"metrics", &Service::handle_metrics, false, false, false, false},
-      {"reload", &Service::handle_reload, false, false, false, false},
-      {"shard", &Service::handle_shard, false, false, false, false},
+      // name, handler, compute, needs_state, cached
+      {"analyze", &Service::handle_analyze, true, true, false},
+      {"whatif", &Service::handle_whatif, true, true, true},
+      {"sweep", &Service::handle_sweep, true, true, true},
+      {"minimise", &Service::handle_minimise, true, true, true},
+      {"uq", &Service::handle_uq, true, true, true},
+      {"compare", &Service::handle_compare, true, true, false},
+      {"health", &Service::handle_health, false, true, false},
+      {"metrics", &Service::handle_metrics, false, false, false},
+      {"reload", &Service::handle_reload, false, false, false},
+      {"shard", &Service::handle_shard, false, false, false},
   }};
   return kTable;
 }
@@ -212,13 +221,12 @@ namespace {
                                             {0.1, 0.02});
 }
 
-/// Synthetic per-class trial counts at the configured trial size, so the
-/// uq endpoint has a posterior even when no real counts were supplied.
+/// Synthetic per-class trial counts at kUqCasesPerClass, so the uq
+/// endpoint has a posterior even when no real counts were supplied.
 [[nodiscard]] std::vector<core::ClassCounts> synthetic_counts_for(
-    const core::SequentialModel& model, const ServiceOptions& options) {
+    const core::SequentialModel& model) {
   std::vector<core::ClassCounts> counts;
-  const std::uint64_t cases =
-      std::max<std::uint64_t>(1, options.uq_cases_per_class);
+  const std::uint64_t cases = kUqCasesPerClass;
   for (std::size_t x = 0; x < model.class_count(); ++x) {
     const auto& p = model.parameters(x);
     core::ClassCounts c;
@@ -256,19 +264,19 @@ struct Service::Loaded {
   core::PosteriorModelSampler sampler;
 
   Loaded(core::SequentialModel model_in, core::DemandProfile trial_in,
-         core::DemandProfile field_in, const ServiceOptions& options)
+         core::DemandProfile field_in)
       : model(std::move(model_in)),
         trial(std::move(trial_in)),
         field(std::move(field_in)),
         extrapolator(model, trial),
         analyzer(machine_for(model), field, fn_response_for(model), field,
                  fp_response_for(model), /*prevalence=*/0.007),
-        sampler(model.class_names(), synthetic_counts_for(model, options)) {}
+        sampler(model.class_names(), synthetic_counts_for(model)) {}
 };
 
 std::unique_ptr<Service::Loaded> Service::build_loaded(
     core::SequentialModel model, core::DemandProfile trial,
-    core::DemandProfile field, const ServiceOptions& options) {
+    core::DemandProfile field) {
   if (!model.compatible_with(trial)) {
     throw std::invalid_argument(
         "trial profile is not defined over the model's classes");
@@ -278,7 +286,7 @@ std::unique_ptr<Service::Loaded> Service::build_loaded(
         "field profile is not defined over the model's classes");
   }
   return std::make_unique<Loaded>(std::move(model), std::move(trial),
-                                  std::move(field), options);
+                                  std::move(field));
 }
 
 Service::Service(core::SequentialModel model, core::DemandProfile trial,
@@ -290,7 +298,7 @@ Service::Service(core::SequentialModel model, core::DemandProfile trial,
              options.max_queue}),
       started_(Clock::now()),
       state_(build_loaded(std::move(model), std::move(trial),
-                          std::move(field), options)) {
+                          std::move(field))) {
   whatif_cache_.set_capacity(options_.whatif_cache_capacity);
   sweep_cache_.set_capacity(options_.sweep_cache_capacity);
   minimise_cache_.set_capacity(options_.minimise_cache_capacity);
@@ -312,27 +320,9 @@ Service::Service(core::SequentialModel model, core::DemandProfile trial,
       metrics_[i].cache_miss = &registry.counter(base + ".cache_miss");
     }
   }
-
-  if (options_.batch_max > 1) {
-    BatchExecutor::Options executor_options;
-    executor_options.kinds = kEndpointCount;
-    executor_options.batch_max = options_.batch_max;
-    executor_options.batch_wait_us = options_.batch_wait_us;
-    executor_options.workers = std::max(1u, options_.batch_workers);
-    // The queue bound replaces the AdmissionGate for batched endpoints.
-    executor_options.max_queued = std::max<std::size_t>(1, options_.max_queue);
-    executor_ = std::make_unique<BatchExecutor>(
-        executor_options,
-        [this](std::size_t kind, std::span<BatchExecutor::Job> jobs) {
-          execute_batch(kind, jobs);
-        });
-  }
 }
 
-Service::~Service() {
-  // Stop the compute workers before any state they touch goes away.
-  if (executor_ != nullptr) executor_->stop();
-}
+Service::~Service() = default;
 
 void Service::clear_caches() {
   whatif_cache_.clear();
@@ -344,8 +334,8 @@ void Service::clear_caches() {
 void Service::reload(core::SequentialModel model, core::DemandProfile trial,
                      core::DemandProfile field) {
   // Build outside the lock (may throw; current state stays untouched).
-  std::unique_ptr<Loaded> next = build_loaded(
-      std::move(model), std::move(trial), std::move(field), options_);
+  std::unique_ptr<Loaded> next =
+      build_loaded(std::move(model), std::move(trial), std::move(field));
   const std::unique_lock<std::shared_mutex> lock(state_mutex_);
   state_ = std::move(next);
   epoch_.fetch_add(1, std::memory_order_acq_rel);
@@ -411,8 +401,8 @@ void Service::validate_request(Parsed& request) const {
       throw RequestError{kBadRequest,
                          "deadline_ms must be a positive integer"};
     }
-    deadline_ms = dl->number >= static_cast<double>(options_.max_deadline_ms)
-                      ? options_.max_deadline_ms
+    deadline_ms = dl->number >= static_cast<double>(kMaxDeadlineMs)
+                      ? kMaxDeadlineMs
                       : static_cast<std::uint64_t>(dl->number);
   }
   request.deadline = request.t0 + std::chrono::milliseconds(deadline_ms);
@@ -497,301 +487,6 @@ void Service::handle_line(std::string_view line, RequestScratch& scratch,
   dispatch_parsed(request, scratch, out);
 }
 
-void Service::handle_lines(std::span<const std::string_view> lines,
-                           RequestScratch& scratch,
-                           std::vector<std::string>& responses) {
-  if (responses.size() < lines.size()) responses.resize(lines.size());
-  if (executor_ == nullptr) {
-    // Batching off: exactly the PR 7 path, one line at a time.
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      responses[i].clear();
-      handle_line(lines[i], scratch, responses[i]);
-    }
-    return;
-  }
-
-  // One workspace scope spans the whole burst: every parsed request's
-  // JSON nodes must stay alive until the Group completes, because worker
-  // threads read them (blocks never relocate, and the executor's queue
-  // mutex publishes them — see exec/workspace.hpp).
-  exec::Workspace& workspace = exec::thread_workspace();
-  const exec::Workspace::Scope scope(workspace);
-  BatchExecutor::Group group;
-  const bool obs_on = obs::enabled();
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    std::string& out = responses[i];
-    out.clear();
-    Parsed request;
-    if (!parse_frame(lines[i], scratch, out, request)) continue;
-    const EndpointEntry& entry = endpoint_table()[request.ep];
-    EndpointMetrics& metrics = metrics_[request.ep];
-    const std::size_t out_mark = out.size();
-    bool submitted = false;
-    try {
-      validate_request(request);
-      if (entry.batchable) {
-        BatchExecutor::Job job;
-        job.kind = request.ep;
-        job.id = request.id;
-        job.params = request.params;
-        job.t0 = request.t0;
-        job.deadline = request.deadline;
-        job.out = &out;
-        job.group = &group;
-        if (executor_->submit(job)) {
-          submitted = true;
-        } else {
-          if (obs_on) metrics.shed->add(1);
-          write_error_line(out, request.id, "shed",
-                           "admission queue full; retry later");
-        }
-      } else {
-        // Non-batchable requests (health/metrics/reload) are in-order
-        // barriers: effects observable through them — epoch bumps,
-        // counter totals — must reflect every earlier request of this
-        // burst, exactly as the serial loop guarantees.
-        group.wait();
-        execute_inline(request, scratch, out);
-      }
-    } catch (const RequestError& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, request.id, e.code, e.message);
-    } catch (const std::invalid_argument& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, request.id, kBadRequest, e.what());
-    } catch (const std::exception& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, request.id, "internal", e.what());
-    }
-    // Submitted jobs record their latency when the worker finishes them.
-    if (!submitted && obs_on) {
-      metrics.ns->record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               request.t0)
-              .count()));
-    }
-  }
-  group.wait();
-}
-
-// --- Batched compute (BatchExecutor worker side) -------------------------
-
-void Service::execute_batch(std::size_t kind,
-                            std::span<BatchExecutor::Job> jobs) {
-  // Worker-thread mirror of the per-connection scratch; capacities warm
-  // once per thread, keeping the steady state allocation free.
-  thread_local RequestScratch scratch;
-  exec::Workspace& workspace = exec::thread_workspace();
-  const exec::Workspace::Scope scope(workspace);
-  const std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  const Loaded& state = *state_;
-  if (kind == kWhatif) {
-    execute_whatif_batch(state, jobs, scratch);
-    return;
-  }
-  const EndpointEntry& entry = endpoint_table()[kind];
-  EndpointMetrics& metrics = metrics_[kind];
-  const bool obs_on = obs::enabled();
-  for (BatchExecutor::Job& job : jobs) {
-    Parsed request;
-    request.id = job.id;
-    request.params = job.params;
-    request.ep = kind;
-    request.t0 = job.t0;
-    request.deadline = job.deadline;
-    std::string& out = *job.out;
-    const std::size_t out_mark = out.size();
-    try {
-      check_deadline(request.deadline);
-      begin_result(out, request.id);
-      (this->*entry.handler)(&state, request, scratch, out);
-      end_result(out);
-    } catch (const RequestError& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, request.id, e.code, e.message);
-    } catch (const std::invalid_argument& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, request.id, kBadRequest, e.what());
-    } catch (const std::exception& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, request.id, "internal", e.what());
-    }
-    if (obs_on) {
-      metrics.ns->record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               job.t0)
-              .count()));
-    }
-  }
-}
-
-void Service::execute_whatif_batch(const Loaded& state,
-                                   std::span<BatchExecutor::Job> jobs,
-                                   RequestScratch& scratch) {
-  constexpr std::size_t kNone = ~std::size_t{0};
-  const bool obs_on = obs::enabled();
-  EndpointMetrics& metrics = metrics_[kWhatif];
-  exec::Workspace& workspace = exec::thread_workspace();
-
-  // Per-job routing state. Keys and per-class factor lists are copied
-  // into the workspace because scratch.key / scratch.class_factors are
-  // reused by the next job's resolve.
-  struct Slot {
-    std::span<const double> key;
-    WhatifNumbers numbers;
-    std::size_t miss = kNone;    // index into the unique-miss spec array
-    std::size_t dup_of = kNone;  // earlier slot with the same key
-    bool ok = false;
-    bool cached = false;
-  };
-  const std::span<Slot> slots = workspace.alloc<Slot>(jobs.size());
-  const std::span<core::ScenarioSpec> specs =
-      workspace.alloc<core::ScenarioSpec>(jobs.size());
-  const std::span<core::ScenarioNumbers> computed =
-      workspace.alloc<core::ScenarioNumbers>(jobs.size());
-
-  const bool cache_on = whatif_cache_.enabled();
-  std::size_t miss_count = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    BatchExecutor::Job& job = jobs[i];
-    Slot& slot = slots[i];
-    slot = Slot{};
-    std::string& out = *job.out;
-    const std::size_t out_mark = out.size();
-    try {
-      check_deadline(job.deadline);
-      const JsonValue& spec_json =
-          job.params != nullptr ? *job.params : kEmptyParams;
-      const WhatifRequest parsed = resolve_whatif(state, spec_json, scratch);
-      const std::span<double> key =
-          workspace.alloc<double>(scratch.key.size());
-      std::copy(scratch.key.begin(), scratch.key.end(), key.begin());
-      slot.key = key;
-      if (const std::optional<WhatifNumbers> hit = whatif_cache_.find(
-              std::span<const double>(slot.key))) {
-        slot.numbers = *hit;
-        slot.cached = true;
-        if (obs_on) metrics.cache_hit->add(1);
-      } else {
-        // Within-batch dedupe — but only when the cache is enabled. With
-        // the cache off the serial path recomputes and answers
-        // "cached":false for every request, and byte identity requires
-        // the coalesced path to do the same.
-        std::size_t dup = kNone;
-        if (cache_on) {
-          for (std::size_t j = 0; j < i && dup == kNone; ++j) {
-            if (slots[j].ok && slots[j].miss != kNone &&
-                slots[j].key.size() == slot.key.size() &&
-                std::equal(slot.key.begin(), slot.key.end(),
-                           slots[j].key.begin())) {
-              dup = j;
-            }
-          }
-        }
-        if (dup != kNone) {
-          slot.dup_of = dup;
-          slot.cached = true;
-          if (obs_on) metrics.cache_hit->add(1);
-        } else {
-          slot.miss = miss_count;
-          core::ScenarioSpec& spec = specs[miss_count];
-          spec = core::ScenarioSpec{};
-          spec.profile = parsed.use_field ? &state.field : nullptr;
-          spec.reader_failure_factor = parsed.reader_factor;
-          spec.machine_failure_factor = parsed.machine_factor;
-          if (!scratch.class_factors.empty()) {
-            const std::span<core::ClassFactor> factors =
-                workspace.alloc<core::ClassFactor>(
-                    scratch.class_factors.size());
-            for (std::size_t f = 0; f < factors.size(); ++f) {
-              factors[f] = {scratch.class_factors[f].first,
-                            scratch.class_factors[f].second};
-            }
-            spec.per_class_machine_factors = factors;
-          }
-          ++miss_count;
-          if (obs_on) metrics.cache_miss->add(1);
-        }
-      }
-      slot.ok = true;
-    } catch (const RequestError& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, job.id, e.code, e.message);
-    } catch (const std::invalid_argument& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, job.id, kBadRequest, e.what());
-    } catch (const std::exception& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, job.id, "internal", e.what());
-    }
-    if (!slot.ok && obs_on) {
-      metrics.ns->record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               job.t0)
-              .count()));
-    }
-  }
-
-  // One SoA evaluation over every unique miss in the batch. Specs were
-  // validated during resolve, so a throw here is defensive: fail the
-  // whole miss set rather than publish half-written numbers.
-  if (miss_count > 0) {
-    try {
-      state.extrapolator.evaluate_batch(specs.first(miss_count),
-                                        computed.first(miss_count));
-    } catch (const std::exception& e) {
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        Slot& slot = slots[i];
-        if (!slot.ok || (slot.miss == kNone && slot.dup_of == kNone)) {
-          continue;
-        }
-        slot.ok = false;
-        if (obs_on) metrics.errors->add(1);
-        write_error_line(*jobs[i].out, jobs[i].id, "internal", e.what());
-      }
-      miss_count = 0;
-    }
-  }
-
-  // Publish in request order: a miss renders then inserts, a duplicate
-  // reads the earlier slot (already published — dup_of < i).
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    Slot& slot = slots[i];
-    if (!slot.ok) continue;
-    if (slot.miss != kNone) {
-      const core::ScenarioNumbers& numbers = computed[slot.miss];
-      slot.numbers = WhatifNumbers{numbers.system_failure,
-                                   numbers.machine_failure,
-                                   numbers.failure_floor,
-                                   numbers.decomposition.floor,
-                                   numbers.decomposition.mean_field,
-                                   numbers.decomposition.covariance};
-      whatif_cache_.insert(std::span<const double>(slot.key), slot.numbers);
-    } else if (slot.dup_of != kNone) {
-      slot.numbers = slots[slot.dup_of].numbers;
-    }
-    std::string& out = *jobs[i].out;
-    begin_result(out, jobs[i].id);
-    append_whatif_body(out, slot.numbers, slot.cached);
-    end_result(out);
-    if (obs_on) {
-      metrics.ns->record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               jobs[i].t0)
-              .count()));
-    }
-  }
-}
-
 // --- Endpoint handlers --------------------------------------------------
 
 void Service::handle_analyze(const Loaded* state_ptr, const Parsed&,
@@ -822,9 +517,11 @@ void Service::handle_analyze(const Loaded* state_ptr, const Parsed&,
   out += "}}";
 }
 
-Service::WhatifRequest Service::resolve_whatif(const Loaded& state,
+Service::WhatifNumbers Service::compute_whatif(const Loaded& state,
                                                const JsonValue& spec,
-                                               RequestScratch& scratch) const {
+                                               RequestScratch& scratch,
+                                               bool& cached) const {
+  const bool obs_on = obs::enabled();
   const double reader_factor = number_param(spec, "reader_factor", 1.0);
   const double machine_factor = number_param(spec, "machine_factor", 1.0);
   if (reader_factor < 0.0 || machine_factor < 0.0) {
@@ -869,15 +566,6 @@ Service::WhatifRequest Service::resolve_whatif(const Loaded& state,
     scratch.key.push_back(static_cast<double>(index));
     scratch.key.push_back(factor);
   }
-  return WhatifRequest{reader_factor, machine_factor, use_field};
-}
-
-Service::WhatifNumbers Service::compute_whatif(const Loaded& state,
-                                               const JsonValue& spec,
-                                               RequestScratch& scratch,
-                                               bool& cached) const {
-  const bool obs_on = obs::enabled();
-  const WhatifRequest request = resolve_whatif(state, spec, scratch);
 
   if (const std::optional<WhatifNumbers> hit =
           whatif_cache_.find(std::span<const double>(scratch.key))) {
@@ -889,11 +577,11 @@ Service::WhatifNumbers Service::compute_whatif(const Loaded& state,
   if (obs_on) metrics_[kWhatif].cache_miss->add(1);
 
   core::Scenario scenario;
-  scenario.reader_failure_factor = request.reader_factor;
-  scenario.machine_failure_factor = request.machine_factor;
+  scenario.reader_failure_factor = reader_factor;
+  scenario.machine_failure_factor = machine_factor;
   scenario.per_class_machine_factors.assign(scratch.class_factors.begin(),
                                             scratch.class_factors.end());
-  if (request.use_field) scenario.profile = state.field;
+  if (use_field) scenario.profile = state.field;
   const core::ScenarioResult result = state.extrapolator.evaluate(scenario);
   const WhatifNumbers numbers{result.system_failure,
                               result.machine_failure,
@@ -940,7 +628,7 @@ void Service::handle_sweep(const Loaded* state_ptr, const Parsed& request,
   const JsonValue& p =
       request.params != nullptr ? *request.params : kEmptyParams;
   const std::size_t steps = static_cast<std::size_t>(
-      uint_param(p, "steps", 256, 2, options_.max_sweep_steps));
+      uint_param(p, "steps", 256, 2, kMaxSweepSteps));
   const std::size_t points = static_cast<std::size_t>(
       uint_param(p, "points", 17, 2, kMaxSweepPoints));
   const double lo = number_param(p, "lo", -4.0);
@@ -1015,7 +703,7 @@ void Service::handle_minimise(const Loaded* state_ptr, const Parsed& request,
     throw RequestError{kBadRequest, "costs must be non-negative"};
   }
   const std::size_t steps = static_cast<std::size_t>(
-      uint_param(p, "steps", 2048, 2, options_.max_sweep_steps));
+      uint_param(p, "steps", 2048, 2, kMaxSweepSteps));
   const double lo = number_param(p, "lo", -4.0);
   const double hi = number_param(p, "hi", 4.0);
   if (!(lo < hi)) throw RequestError{kBadRequest, "lo must be below hi"};
@@ -1072,7 +760,7 @@ void Service::handle_uq(const Loaded* state_ptr, const Parsed& request,
   const JsonValue& p =
       request.params != nullptr ? *request.params : kEmptyParams;
   const std::size_t draws = static_cast<std::size_t>(
-      uint_param(p, "draws", 2000, 16, options_.max_uq_draws));
+      uint_param(p, "draws", 2000, 16, kMaxUqDraws));
   const double credibility = number_param(p, "credibility", 0.95);
   if (!(credibility > 0.0 && credibility < 1.0)) {
     throw RequestError{kBadRequest, "credibility must be in (0, 1)"};
@@ -1134,11 +822,10 @@ void Service::handle_compare(const Loaded* state_ptr, const Parsed& request,
     throw RequestError{kBadRequest,
                        "params.scenarios must be a non-empty array"};
   }
-  if (scenarios->item_count > options_.max_compare_scenarios) {
-    throw RequestError{
-        kBadRequest,
-        "too many scenarios (max " +
-            std::to_string(options_.max_compare_scenarios) + ")"};
+  if (scenarios->item_count > kMaxCompareScenarios) {
+    throw RequestError{kBadRequest,
+                       "too many scenarios (max " +
+                           std::to_string(kMaxCompareScenarios) + ")"};
   }
 
   struct Ranked {
@@ -1324,10 +1011,10 @@ void Service::handle_reload(const Loaded*, const Parsed& request,
 void Service::handle_shard(const Loaded*, const Parsed&,
                            RequestScratch& scratch, std::string& out) {
   // The upgrade handshake (DESIGN.md §15): acknowledge, then flag the
-  // connection so the socket server flips it into binary shard mode once
-  // this burst's responses have flushed. Everything after this response
-  // line is HMDF frames, handled by exec::ShardSession — not by this
-  // dispatcher.
+  // connection so the socket server stops reading lines and flips it into
+  // binary shard mode once this response has flushed. Everything after
+  // this request line is HMDF frames, handled by exec::ShardSession — not
+  // by this dispatcher.
   scratch.shard_upgrade = true;
   out += "\"shard\":\"ready\",\"protocol\":\"hmdf1\"";
 }

@@ -31,12 +31,9 @@
 // for the cached endpoints; all registered once at construction and
 // gated on obs::enabled().
 //
-// Batched mode (DESIGN.md §14): with batch_max > 1 a BatchExecutor owns
-// the compute — handle_lines() parses and validates on the connection
-// thread, enqueues batchable requests per endpoint, and a worker pool
-// coalesces them onto the batched kernels. batch_max <= 1 keeps the
-// PR 7 inline path; every coalesced response is byte-identical to its
-// uncoalesced form (test-gated).
+// Dispatch: one path per request, on the calling (connection) thread —
+// handle_line -> dispatch_parsed -> execute_inline. Handing requests to
+// other threads to batch them lost throughput on 4 cores (DESIGN.md §14).
 #pragma once
 
 #include <array>
@@ -46,7 +43,6 @@
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -60,7 +56,6 @@
 #include "core/uncertainty.hpp"
 #include "obs/obs.hpp"
 #include "serve/admission.hpp"
-#include "serve/batch_executor.hpp"
 #include "serve/json.hpp"
 
 namespace hmdiv::serve {
@@ -71,32 +66,15 @@ struct ServiceOptions {
   std::size_t sweep_cache_capacity = 64;
   std::size_t minimise_cache_capacity = 128;
   std::size_t uq_cache_capacity = 128;
-  /// Deadline applied when a request carries none, and the cap on the
-  /// deadline a request may ask for.
+  /// Deadline applied when a request carries none (requests may ask for
+  /// up to 60 s).
   std::uint64_t default_deadline_ms = 1000;
-  std::uint64_t max_deadline_ms = 60'000;
   /// Thread budget for one request's compute (requests are already
   /// parallel across connections; 1 = serial per request).
   unsigned compute_threads = 1;
   /// Admission control; max_concurrent 0 = hardware concurrency.
   std::size_t max_concurrent = 0;
   std::size_t max_queue = 64;
-  /// Input bounds on expensive endpoints.
-  std::size_t max_sweep_steps = 100'000;
-  std::size_t max_uq_draws = 100'000;
-  std::size_t max_compare_scenarios = 32;
-  /// Synthetic per-class trial size used to derive posterior counts for
-  /// the uq endpoint when the request supplies none.
-  std::uint64_t uq_cases_per_class = 2000;
-  /// Cross-request coalescing (DESIGN.md §14). batch_max <= 1 disables
-  /// the BatchExecutor entirely — the exact PR 7 inline path. With
-  /// batch_max > 1, up to batch_max same-endpoint requests are computed
-  /// as one batch; a partial batch waits at most batch_wait_us (bounded
-  /// by the earliest queued deadline) before computing anyway.
-  std::size_t batch_max = 1;
-  std::uint64_t batch_wait_us = 100;
-  /// Compute worker threads draining the batch queues.
-  unsigned batch_workers = 1;
 };
 
 /// Per-connection reusable parse/compute scratch. Buffer capacities
@@ -106,10 +84,10 @@ struct RequestScratch {
   JsonParser parser;
   std::vector<double> key;
   std::vector<std::pair<std::size_t, double>> class_factors;
-  /// Set by the `shard` endpoint: after this burst's responses flush, the
-  /// connection leaves NDJSON and becomes a binary HMDF frame stream
-  /// (DESIGN.md §15). Only the socket server acts on it; direct
-  /// handle_line callers can ignore it.
+  /// Set by the `shard` endpoint: the connection leaves NDJSON after this
+  /// response and every later byte is a binary HMDF frame (DESIGN.md
+  /// §15). Only the socket server acts on it; direct handle_line callers
+  /// can ignore it.
   bool shard_upgrade = false;
 };
 
@@ -128,21 +106,6 @@ class Service {
   /// exactly one newline-terminated response line to `out`.
   void handle_line(std::string_view line, RequestScratch& scratch,
                    std::string& out);
-
-  /// Handles a burst of pipelined request lines. responses is resized to
-  /// at least lines.size(); responses[i] is overwritten with exactly one
-  /// newline-terminated response line for lines[i] — request order is
-  /// preserved regardless of how compute is scheduled. In batched mode
-  /// batchable requests are enqueued on the BatchExecutor and coalesced
-  /// across connections; non-batchable requests (health/metrics/reload)
-  /// act as in-order barriers. With batching off this is exactly a
-  /// handle_line loop.
-  void handle_lines(std::span<const std::string_view> lines,
-                    RequestScratch& scratch,
-                    std::vector<std::string>& responses);
-
-  /// True when a BatchExecutor is running (options.batch_max > 1).
-  [[nodiscard]] bool batching() const { return executor_ != nullptr; }
 
   /// Atomically replaces the model bundle, clears every result cache and
   /// bumps the epoch. Throws std::invalid_argument on incompatible inputs
@@ -223,8 +186,7 @@ class Service {
 
   /// One parsed and routed request frame. root/id/params point into the
   /// calling thread's workspace and stay valid for the enclosing
-  /// Workspace::Scope's lifetime (batched jobs rely on the submitter
-  /// keeping that scope open until its Group completes).
+  /// Workspace::Scope's lifetime.
   struct Parsed {
     const JsonValue* root = nullptr;
     const JsonValue* id = nullptr;
@@ -242,15 +204,12 @@ class Service {
                                     RequestScratch& scratch, std::string& out);
 
   /// One row of the endpoint registry: the single source of truth shared
-  /// by handle_line, handle_lines, the BatchExecutor callback, unknown_op
-  /// checks and metrics registration.
+  /// by dispatch, unknown_op checks and metrics registration.
   struct EndpointEntry {
     std::string_view name;
     Handler handler = nullptr;
     /// Admission-controlled compute (vs health/metrics/reload).
     bool compute = false;
-    /// May be coalesced by the BatchExecutor.
-    bool batchable = false;
     /// Runs under the shared state lock with the Loaded bundle.
     bool needs_state = false;
     /// Registers serve.<ep>.cache_hit/_miss counters.
@@ -259,18 +218,9 @@ class Service {
   [[nodiscard]] static const std::array<EndpointEntry, kEndpointCount>&
   endpoint_table();
 
-  /// Scenario transforms resolved from a whatif params object (the
-  /// per-class factors land in scratch.class_factors, the cache key in
-  /// scratch.key).
-  struct WhatifRequest {
-    double reader_factor = 1.0;
-    double machine_factor = 1.0;
-    bool use_field = false;
-  };
-
   [[nodiscard]] static std::unique_ptr<Loaded> build_loaded(
       core::SequentialModel model, core::DemandProfile trial,
-      core::DemandProfile field, const ServiceOptions& options);
+      core::DemandProfile field);
 
   void clear_caches();
 
@@ -283,25 +233,14 @@ class Service {
   /// deadline_ms / params shape checks; fills request.deadline / .params.
   /// Throws RequestError on violations.
   void validate_request(Parsed& request) const;
-  /// The PR 7 execution order for one validated request: admission for
-  /// compute endpoints, then the handler under the shared state lock.
+  /// Executes one validated request: admission for compute endpoints,
+  /// then the handler under the shared state lock.
   void execute_inline(const Parsed& request, RequestScratch& scratch,
                       std::string& out);
   /// validate + execute_inline wrapped in the uniform error rendering and
   /// the per-endpoint latency record.
   void dispatch_parsed(Parsed& request, RequestScratch& scratch,
                        std::string& out);
-
-  /// BatchExecutor callback: computes one drained batch of same-endpoint
-  /// jobs on a worker thread.
-  void execute_batch(std::size_t kind, std::span<BatchExecutor::Job> jobs);
-  /// The coalesced whatif path: dedupes against the cache and within the
-  /// batch, evaluates every unique miss through one
-  /// Extrapolator::evaluate_batch call, then renders per job in request
-  /// order.
-  void execute_whatif_batch(const Loaded& state,
-                            std::span<BatchExecutor::Job> jobs,
-                            RequestScratch& scratch);
 
   // Endpoint handlers (uniform Handler signature; rows of the table).
   void handle_analyze(const Loaded* state, const Parsed& request,
@@ -325,17 +264,14 @@ class Service {
   void handle_shard(const Loaded* state, const Parsed& request,
                     RequestScratch& scratch, std::string& out);
 
-  /// Shared whatif machinery (whatif + compare): resolves a scenario spec,
-  /// probes the cache, computes on miss. `cached` reports the hit/miss.
+  /// Shared whatif machinery (whatif + compare): resolves a scenario spec
+  /// into per-class factors (scratch.class_factors) and a canonical cache
+  /// key (scratch.key), probes the cache, computes on miss. `cached`
+  /// reports the hit/miss.
   [[nodiscard]] WhatifNumbers compute_whatif(const Loaded& state,
                                              const JsonValue& spec,
                                              RequestScratch& scratch,
                                              bool& cached) const;
-  /// Parses factors/profile selection out of a whatif spec and builds the
-  /// canonical cache key in scratch.key.
-  [[nodiscard]] WhatifRequest resolve_whatif(const Loaded& state,
-                                             const JsonValue& spec,
-                                             RequestScratch& scratch) const;
   static void append_whatif_body(std::string& out,
                                  const WhatifNumbers& numbers, bool cached);
 
@@ -354,10 +290,6 @@ class Service {
   mutable core::EvalCache<UqNumbers> uq_cache_;
 
   std::array<EndpointMetrics, kEndpointCount> metrics_{};
-
-  /// Present only in batched mode (options.batch_max > 1). Declared last
-  /// so destruction stops the workers before anything they touch dies.
-  std::unique_ptr<BatchExecutor> executor_;
 };
 
 }  // namespace hmdiv::serve

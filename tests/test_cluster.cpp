@@ -15,9 +15,14 @@
 
 #include <gtest/gtest.h>
 
-#include <csignal>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include <csignal>
 
 #include <algorithm>
 #include <bit>
@@ -27,6 +32,7 @@
 #include <cstdlib>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli/parse_util.hpp"
@@ -40,6 +46,7 @@
 #include "exec/shard.hpp"
 #include "exec/shard_protocol.hpp"
 #include "obs/obs.hpp"
+#include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "sim/tabular_world.hpp"
 #include "sim/trial.hpp"
@@ -311,14 +318,16 @@ const exec::ShardWorkloadRegistration kEchoRegistration{"cluster.echo",
 
 std::vector<std::uint8_t> task_frame(std::string_view workload,
                                      std::uint32_t shard, std::uint32_t count,
-                                     bool obs_enabled = false) {
+                                     bool obs_enabled = false,
+                                     std::vector<std::uint8_t> blob = {1, 2,
+                                                                       3}) {
   wire::ShardTask task;
   task.workload = std::string(workload);
   task.shard_index = shard;
   task.shard_count = count;
   task.threads = 1;
   task.obs_enabled = obs_enabled;
-  task.blob = {1, 2, 3};
+  task.blob = std::move(blob);
   std::vector<std::uint8_t> out;
   wire::append_frame(out, wire::FrameType::task, wire::serialize_task(task));
   return out;
@@ -497,6 +506,70 @@ TEST(ClusterSessionTest, CachedTaskWithoutPriorBlobIsAnError) {
   const auto frames = parse_reply(replies[0].bytes);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].type, wire::FrameType::error);
+}
+
+// --- the serve connection's shard upgrade ---------------------------------
+
+TEST(ClusterUpgradeTest, FramePipelinedBehindTheUpgradeLineIsNeverNdjson) {
+  // A coordinator may send the upgrade line and its first task frame in
+  // one write. Every byte behind the upgrade line is HMDF, so a newline
+  // inside the frame must not be read as a request line: the reply is the
+  // upgrade response, then exactly one result and one done frame.
+  serve::Service service(core::paper::example_model(),
+                         core::paper::trial_profile(),
+                         core::paper::field_profile(), {});
+  serve::Server server(service, {});
+  server.start();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  const timeval receive_timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &receive_timeout,
+               sizeof receive_timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+
+  std::string burst(exec::kShardUpgradeLine);
+  const std::vector<std::uint8_t> frame =
+      task_frame("cluster.echo", 0, 1, false, {'\n', 'x', '\n'});
+  burst.append(frame.begin(), frame.end());
+  ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  // Half-close: the daemon ends the shard stream at EOF and closes, so the
+  // whole reply can be read to the end.
+  ::shutdown(fd, SHUT_WR);
+  std::string reply;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t got = ::read(fd, chunk, sizeof chunk);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) break;
+    reply.append(chunk, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  server.shutdown();
+
+  const std::size_t newline = reply.find('\n');
+  ASSERT_NE(newline, std::string::npos) << reply;
+  EXPECT_NE(reply.substr(0, newline).find("\"shard\":\"ready\""),
+            std::string::npos)
+      << reply;
+  const std::string_view frame_bytes =
+      std::string_view(reply).substr(newline + 1);
+  const auto frames = parse_reply(
+      {reinterpret_cast<const std::uint8_t*>(frame_bytes.data()),
+       frame_bytes.size()});
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].type, wire::FrameType::result);
+  wire::Reader r(frames[0].payload);
+  EXPECT_EQ(r.u32(), 0u);
+  EXPECT_EQ(r.u32(), 1u);
+  EXPECT_EQ(frames[1].type, wire::FrameType::done);
+  EXPECT_EQ(wire::parse_done(frames[1].payload), 0u);
 }
 
 // --- ClusterRunner shard resolution (no sockets) --------------------------

@@ -100,73 +100,5 @@ TEST(Extrapolator, ReaderDriftRangeIsOrderedAndBracketsNominal) {
                std::invalid_argument);
 }
 
-TEST(Extrapolator, EvaluateBatchMatchesEvaluateBitwise) {
-  // The serve layer's coalesced responses are specified byte-identical to
-  // solo responses, so the batch kernel must reproduce evaluate() to the
-  // last bit — EXPECT_EQ on doubles, not EXPECT_NEAR.
-  const auto e = paper_extrapolator();
-  const DemandProfile field = paper::field_profile();
-
-  const ClassFactor easy_half[] = {{0, 0.5}};
-  const ClassFactor both[] = {{0, 0.25}, {1, 1.75}};
-  ScenarioSpec specs[6];
-  specs[0] = {};  // as trialled
-  specs[1].reader_failure_factor = 1.5;
-  specs[2].machine_failure_factor = 0.5;
-  specs[3].profile = &field;
-  specs[3].reader_failure_factor = 0.75;
-  specs[3].machine_failure_factor = 1.25;
-  specs[4].per_class_machine_factors = easy_half;
-  specs[5].profile = &field;
-  specs[5].per_class_machine_factors = both;
-  specs[5].reader_failure_factor = 2.0;
-
-  ScenarioNumbers batch[6];
-  e.evaluate_batch(specs, batch);
-
-  for (std::size_t i = 0; i < 6; ++i) {
-    Scenario s;
-    s.reader_failure_factor = specs[i].reader_failure_factor;
-    s.machine_failure_factor = specs[i].machine_failure_factor;
-    for (const auto& [index, factor] : specs[i].per_class_machine_factors) {
-      s.per_class_machine_factors.emplace_back(index, factor);
-    }
-    if (specs[i].profile != nullptr) s.profile = *specs[i].profile;
-    const ScenarioResult want = e.evaluate(s);
-    EXPECT_EQ(batch[i].system_failure, want.system_failure) << "spec " << i;
-    EXPECT_EQ(batch[i].machine_failure, want.machine_failure) << "spec " << i;
-    EXPECT_EQ(batch[i].failure_floor, want.failure_floor) << "spec " << i;
-    EXPECT_EQ(batch[i].decomposition.floor, want.decomposition.floor)
-        << "spec " << i;
-    EXPECT_EQ(batch[i].decomposition.mean_field,
-              want.decomposition.mean_field)
-        << "spec " << i;
-    EXPECT_EQ(batch[i].decomposition.covariance,
-              want.decomposition.covariance)
-        << "spec " << i;
-  }
-}
-
-TEST(Extrapolator, EvaluateBatchValidatesLikeEvaluate) {
-  const auto e = paper_extrapolator();
-  ScenarioNumbers out[1];
-  {
-    ScenarioSpec bad;
-    bad.machine_failure_factor = -0.5;
-    EXPECT_THROW(e.evaluate_batch({&bad, 1}, out), std::invalid_argument);
-  }
-  {
-    const ClassFactor oob[] = {{99, 0.5}};
-    ScenarioSpec bad;
-    bad.per_class_machine_factors = oob;
-    EXPECT_THROW(e.evaluate_batch({&bad, 1}, out), std::invalid_argument);
-  }
-  {
-    ScenarioSpec ok;
-    ScenarioNumbers two[2];
-    EXPECT_THROW(e.evaluate_batch({&ok, 1}, two), std::invalid_argument);
-  }
-}
-
 }  // namespace
 }  // namespace hmdiv::core

@@ -534,6 +534,69 @@ TEST(ServeServerTest, AnswersPipelinedRequestsInOrder) {
   server.shutdown();
 }
 
+TEST(ServeServerTest, PipelinedConnectionsGetOrderedByteIdenticalResponses) {
+  // Several real connections pipelining at once: every reply must land on
+  // its own connection, in request order, byte-identical to the in-process
+  // handle_line reply for that line. Caches are off on both sides, because
+  // with concurrent connections the shared caches' hit flags depend on
+  // timing.
+  serve::ServiceOptions options;
+  options.whatif_cache_capacity = 0;
+  options.sweep_cache_capacity = 0;
+  options.minimise_cache_capacity = 0;
+  options.uq_cache_capacity = 0;
+
+  constexpr std::size_t kConnections = 3;
+  constexpr std::size_t kPerConnection = 12;
+  std::vector<std::vector<std::string>> conn_lines(kConnections);
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    for (std::size_t k = 0; k < kPerConnection; ++k) {
+      const std::string id = std::to_string(c * 100 + k);
+      if (k % 3 == 2) {
+        conn_lines[c].push_back("{\"op\":\"uq\",\"id\":" + id +
+                                ",\"params\":{\"draws\":32,\"seed\":" + id +
+                                "}}");
+      } else {
+        conn_lines[c].push_back(
+            "{\"op\":\"whatif\",\"id\":" + id +
+            ",\"params\":{\"reader_factor\":" +
+            std::to_string(0.5 + 0.1 * static_cast<double>(k)) + "}}");
+      }
+    }
+  }
+
+  auto service = make_service(options);
+  serve::Server server(service, {});
+  server.start();
+  std::vector<std::vector<std::string>> got(kConnections);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      const int fd = connect_to(server.port());
+      ASSERT_GE(fd, 0);
+      std::string batch;
+      for (const auto& line : conn_lines[c]) batch += line + "\n";
+      ASSERT_TRUE(send_str(fd, batch));
+      got[c] = read_lines(fd, kPerConnection);
+      ::close(fd);
+    });
+  }
+  for (auto& t : clients) t.join();
+  server.shutdown();
+
+  auto reference = make_service(options);
+  serve::RequestScratch scratch;
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    ASSERT_EQ(got[c].size(), kPerConnection) << "connection " << c;
+    for (std::size_t k = 0; k < kPerConnection; ++k) {
+      std::string want;
+      reference.handle_line(conn_lines[c][k], scratch, want);
+      EXPECT_EQ(got[c][k] + "\n", want)
+          << "connection " << c << " line " << k << ": " << conn_lines[c][k];
+    }
+  }
+}
+
 TEST(ServeServerTest, BlankAndCarriageReturnLinesAreIgnored) {
   auto service = make_service();
   serve::Server server(service, {});
