@@ -578,11 +578,17 @@ BENCHMARK(BM_ShardPosteriorScaling)
     ->Unit(benchmark::kMillisecond);
 
 // Fan-out floor: a near-empty sweep, so the measurement is almost entirely
-// pipe setup + fork/exec + frame round trip + merge + reap, per shard
-// count. This is the fixed cost a workload must amortise to win from
-// sharding.
-void BM_ShardMergeOverhead(benchmark::State& state) {
+// socketpair setup + posix_spawn + frame round trip + merge + reap, per
+// shard count. This is the fixed cost a workload must amortise to win from
+// sharding. `parent_mb` of touched heap in the parent tracks the floor
+// where fork's page-table copy made it grow with the parent's RSS.
+void shard_merge_overhead(benchmark::State& state, std::size_t parent_mb) {
   const auto options = shard_options(static_cast<unsigned>(state.range(0)));
+  std::vector<std::uint8_t> ballast(parent_mb << 20);
+  for (std::size_t i = 0; i < ballast.size(); i += 4096) {
+    ballast[i] = static_cast<std::uint8_t>(i >> 12);
+  }
+  benchmark::DoNotOptimize(ballast.data());
   core::BinormalMachine machine;
   machine.cancer_class_means = {2.0, 0.5};
   machine.normal_class_means = {-1.5, -0.5};
@@ -603,11 +609,24 @@ void BM_ShardMergeOverhead(benchmark::State& state) {
         core::sweep_sharded(analyzer, thresholds, options));
   }
 }
+
+void BM_ShardMergeOverhead(benchmark::State& state) {
+  shard_merge_overhead(state, 0);
+}
 BENCHMARK(BM_ShardMergeOverhead)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ShardMergeOverheadLargeParent(benchmark::State& state) {
+  shard_merge_overhead(state, 64);
+}
+BENCHMARK(BM_ShardMergeOverheadLargeParent)
+    ->Name("BM_ShardMergeOverhead/parent_mb:64")
+    ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

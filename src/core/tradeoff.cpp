@@ -100,6 +100,16 @@ TradeoffAnalyzer::TradeoffAnalyzer(BinormalMachine machine,
   }
 }
 
+void derive_system_rates(SystemOperatingPoint& point, double prevalence) {
+  point.sensitivity = 1.0 - point.system_fn;
+  point.specificity = 1.0 - point.system_fp;
+  point.recall_rate = prevalence * point.sensitivity +
+                      (1.0 - prevalence) * point.system_fp;
+  point.ppv = point.recall_rate > 0.0
+                  ? prevalence * point.sensitivity / point.recall_rate
+                  : 0.0;
+}
+
 SystemOperatingPoint TradeoffAnalyzer::evaluate(double threshold) const {
   SystemOperatingPoint out;
   out.threshold = threshold;
@@ -124,13 +134,7 @@ SystemOperatingPoint TradeoffAnalyzer::evaluate(double threshold) const {
                       r.p_recall_given_machine_silent * (1.0 - p_fp));
   }
 
-  out.sensitivity = 1.0 - out.system_fn;
-  out.specificity = 1.0 - out.system_fp;
-  out.recall_rate = prevalence_ * out.sensitivity +
-                    (1.0 - prevalence_) * out.system_fp;
-  out.ppv = out.recall_rate > 0.0
-                ? prevalence_ * out.sensitivity / out.recall_rate
-                : 0.0;
+  derive_system_rates(out, prevalence_);
   return out;
 }
 
@@ -196,13 +200,7 @@ void TradeoffAnalyzer::evaluate_batch(
     point.machine_fp = acc_mfp[i];
     point.system_fn = acc_sfn[i];
     point.system_fp = acc_sfp[i];
-    point.sensitivity = 1.0 - point.system_fn;
-    point.specificity = 1.0 - point.system_fp;
-    point.recall_rate = prevalence_ * point.sensitivity +
-                        (1.0 - prevalence_) * point.system_fp;
-    point.ppv = point.recall_rate > 0.0
-                    ? prevalence_ * point.sensitivity / point.recall_rate
-                    : 0.0;
+    derive_system_rates(point, prevalence_);
   }
 }
 

@@ -73,6 +73,13 @@ struct SystemOperatingPoint {
   double ppv = 0.0;         ///< P(cancer | recall); 0 if nothing is recalled
 };
 
+/// Fills the four fields that follow from system_fn, system_fp and the
+/// prevalence: sensitivity, specificity, recall_rate and ppv. The one
+/// definition of them — evaluate(), evaluate_batch() and the shard merges
+/// (which ship only the measured fields) all call it, so every path rounds
+/// them identically.
+void derive_system_rates(SystemOperatingPoint& point, double prevalence);
+
 /// An operating point together with its expected cost — the candidate type
 /// minimise_cost folds over, exposed so partial scans (grid sub-ranges
 /// computed by shard workers) can be merged with the same earliest-tie

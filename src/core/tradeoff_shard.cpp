@@ -13,6 +13,7 @@ using exec::wire::Reader;
 using exec::wire::Writer;
 
 // --- DemandProfile wire helpers -------------------------------------------
+// Layout: u64 k, k × str name, doubles probabilities.
 
 void encode_profile(Writer& w, const DemandProfile& profile) {
   w.u64(profile.class_count());
@@ -25,17 +26,20 @@ void encode_profile(Writer& w, const DemandProfile& profile) {
 }
 
 DemandProfile decode_profile(Reader& r) {
-  const std::uint64_t k = r.u64();
+  // Each class needs a name's length prefix and a probability.
+  const std::size_t k = r.count(16);
   std::vector<std::string> names;
-  names.reserve(static_cast<std::size_t>(k));
-  for (std::uint64_t x = 0; x < k; ++x) names.push_back(r.str());
+  names.reserve(k);
+  for (std::size_t x = 0; x < k; ++x) names.push_back(r.str());
   return DemandProfile::from_normalised(std::move(names), r.doubles());
 }
 
 // --- Analyzer round trip --------------------------------------------------
-// Every double crosses as its bit pattern and the profiles rebuild through
-// from_normalised, so the worker's analyzer — SoA tables included — is
-// bit-identical to the parent's.
+// Layout: doubles cancer means, doubles normal means, cancer profile,
+// u64 n + n × 2 f64 fn responses, normal profile, u64 m + m × 2 f64 fp
+// responses, f64 prevalence. Every double crosses as its bit pattern and
+// the profiles rebuild through from_normalised, so the worker's analyzer
+// — SoA tables included — is bit-identical to the parent's.
 
 void encode_analyzer(Writer& w, const TradeoffAnalyzer& analyzer) {
   w.doubles(analyzer.machine().cancer_class_means);
@@ -60,15 +64,13 @@ TradeoffAnalyzer decode_analyzer(Reader& r) {
   machine.cancer_class_means = r.doubles();
   machine.normal_class_means = r.doubles();
   DemandProfile cancer_profile = decode_profile(r);
-  std::vector<HumanFnResponse> fn_response(
-      static_cast<std::size_t>(r.u64()));
+  std::vector<HumanFnResponse> fn_response(r.count(16));
   for (HumanFnResponse& response : fn_response) {
     response.p_fail_given_machine_prompted = r.f64();
     response.p_fail_given_machine_silent = r.f64();
   }
   DemandProfile normal_profile = decode_profile(r);
-  std::vector<HumanFpResponse> fp_response(
-      static_cast<std::size_t>(r.u64()));
+  std::vector<HumanFpResponse> fp_response(r.count(16));
   for (HumanFpResponse& response : fp_response) {
     response.p_recall_given_machine_prompted = r.f64();
     response.p_recall_given_machine_silent = r.f64();
@@ -79,63 +81,50 @@ TradeoffAnalyzer decode_analyzer(Reader& r) {
                           std::move(fp_response), prevalence);
 }
 
-// --- Operating-point wire helpers -----------------------------------------
+// --- Measured fields ------------------------------------------------------
+// Only the four rates the kernel measures cross the wire. The threshold is
+// the coordinator's own input, and derive_system_rates rebuilds the other
+// four from system_fn, system_fp and the prevalence exactly as the
+// kernel did, so a merged point is bit-identical to an in-process one.
 
-void encode_point(Writer& w, const SystemOperatingPoint& p) {
-  w.f64(p.threshold);
-  w.f64(p.machine_fn);
-  w.f64(p.machine_fp);
-  w.f64(p.system_fn);
-  w.f64(p.system_fp);
-  w.f64(p.sensitivity);
-  w.f64(p.specificity);
-  w.f64(p.recall_rate);
-  w.f64(p.ppv);
-}
-
-SystemOperatingPoint decode_point(Reader& r) {
-  SystemOperatingPoint p;
-  p.threshold = r.f64();
-  p.machine_fn = r.f64();
-  p.machine_fp = r.f64();
-  p.system_fn = r.f64();
-  p.system_fp = r.f64();
-  p.sensitivity = r.f64();
-  p.specificity = r.f64();
-  p.recall_rate = r.f64();
-  p.ppv = r.f64();
-  return p;
-}
+constexpr double SystemOperatingPoint::*kMeasured[] = {
+    &SystemOperatingPoint::machine_fn, &SystemOperatingPoint::machine_fp,
+    &SystemOperatingPoint::system_fn, &SystemOperatingPoint::system_fp};
 
 // --- "core.sweep" ---------------------------------------------------------
-// Blob: analyzer, doubles thresholds. Result: u64 n, n × operating point.
+// Blob: analyzer, doubles thresholds. Result: 4 doubles columns —
+// machine_fn, machine_fp, system_fn, system_fp — of the task's slice, in
+// grid order (32 bytes a point).
 
 std::vector<std::uint8_t> handle_sweep_shard(
     const exec::wire::ShardTask& task) {
   Reader r(task.blob);
   const TradeoffAnalyzer analyzer = decode_analyzer(r);
-  const std::vector<double> thresholds = r.doubles();
+  const exec::wire::PackedDoubles thresholds = r.packed_doubles();
   if (!r.exhausted()) {
     throw exec::wire::ProtocolError("core.sweep blob: trailing bytes");
   }
+  // Decode only this task's slice of the grid.
   const exec::wire::ShardRange range =
       exec::wire::task_range(thresholds.size(), task);
-  std::vector<SystemOperatingPoint> points(
-      static_cast<std::size_t>(range.size()));
-  analyzer.sweep_into(
-      std::span<const double>(thresholds)
-          .subspan(static_cast<std::size_t>(range.begin),
-                   static_cast<std::size_t>(range.size())),
-      points);
+  exec::wire::check_reply_fits(range.size(), sizeof kMeasured);
+  const auto n = static_cast<std::size_t>(range.size());
+  std::vector<double> slice(n);
+  thresholds.copy_to(range.begin, slice);
+  std::vector<SystemOperatingPoint> points(n);
+  analyzer.sweep_into(slice, points);
   Writer w;
-  w.u64(points.size());
-  for (const SystemOperatingPoint& p : points) encode_point(w, p);
+  std::vector<double>& column = slice;  // the grid slice is spent
+  for (const auto field : kMeasured) {
+    for (std::size_t i = 0; i < n; ++i) column[i] = points[i].*field;
+    w.doubles(column);
+  }
   return w.take();
 }
 
 // --- "core.minimise" ------------------------------------------------------
 // Blob: analyzer, f64 cost_fn, f64 cost_fp, f64 lo, f64 hi, u64 steps.
-// Result: u8 valid, f64 cost, operating point.
+// Result: u8 valid, f64 cost, f64 threshold, the 4 measured f64s.
 
 std::vector<std::uint8_t> handle_minimise_shard(
     const exec::wire::ShardTask& task) {
@@ -157,7 +146,8 @@ std::vector<std::uint8_t> handle_minimise_shard(
   Writer w;
   w.u8(best.valid ? 1 : 0);
   w.f64(best.cost);
-  encode_point(w, best.point);
+  w.f64(best.point.threshold);
+  for (const auto field : kMeasured) w.f64(best.point.*field);
   return w.take();
 }
 
@@ -165,38 +155,6 @@ const exec::ShardWorkloadRegistration kSweepRegistration{
     kSweepShardWorkload, &handle_sweep_shard};
 const exec::ShardWorkloadRegistration kMinimiseRegistration{
     kMinimiseShardWorkload, &handle_minimise_shard};
-
-// --- Transport-independent blob builders and merges -----------------------
-// Shared by the process-sharded and clustered paths; both transports
-// return payloads in ascending shard order, so the merges below make the
-// result independent of how the shards ran.
-
-std::vector<std::uint8_t> encode_sweep_blob(
-    const TradeoffAnalyzer& analyzer, const std::vector<double>& thresholds) {
-  Writer blob;
-  encode_analyzer(blob, analyzer);
-  blob.doubles(thresholds);
-  return blob.take();
-}
-
-std::vector<SystemOperatingPoint> merge_sweep_payloads(
-    std::size_t expected, const std::vector<std::vector<std::uint8_t>>& payloads) {
-  std::vector<SystemOperatingPoint> points;
-  points.reserve(expected);
-  for (const auto& payload : payloads) {
-    Reader r(payload);
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) points.push_back(decode_point(r));
-    if (!r.exhausted()) {
-      throw exec::wire::ProtocolError("core.sweep result: trailing bytes");
-    }
-  }
-  if (points.size() != expected) {
-    throw exec::wire::ProtocolError(
-        "core.sweep: merged point count mismatch");
-  }
-  return points;
-}
 
 std::vector<std::uint8_t> encode_minimise_blob(const TradeoffAnalyzer& analyzer,
                                                double cost_fn, double cost_fp,
@@ -213,6 +171,7 @@ std::vector<std::uint8_t> encode_minimise_blob(const TradeoffAnalyzer& analyzer,
 }
 
 SystemOperatingPoint merge_minimise_payloads(
+    const TradeoffAnalyzer& analyzer,
     const std::vector<std::vector<std::uint8_t>>& payloads) {
   // Ascending shard order = ascending grid order, so the strict-< fold
   // resolves exact cost ties to the earliest grid point — the same rule
@@ -223,7 +182,8 @@ SystemOperatingPoint merge_minimise_payloads(
     CostedOperatingPoint next;
     next.valid = r.u8() != 0;
     next.cost = r.f64();
-    next.point = decode_point(r);
+    next.point.threshold = r.f64();
+    for (const auto field : kMeasured) next.point.*field = r.f64();
     if (!r.exhausted()) {
       throw exec::wire::ProtocolError(
           "core.minimise result: trailing bytes");
@@ -232,10 +192,61 @@ SystemOperatingPoint merge_minimise_payloads(
       best = next;
     }
   }
+  if (best.valid) derive_system_rates(best.point, analyzer.prevalence());
   return best.point;
 }
 
 }  // namespace
+
+// --- Transport-independent blob builder and merge -------------------------
+// Shared by the process-sharded and clustered paths; both transports
+// return payloads in ascending shard order, so the merges make the result
+// independent of how the shards ran.
+
+std::vector<std::uint8_t> encode_sweep_blob(
+    const TradeoffAnalyzer& analyzer, std::span<const double> thresholds) {
+  Writer blob;
+  encode_analyzer(blob, analyzer);
+  blob.doubles(thresholds);
+  return blob.take();
+}
+
+std::vector<SystemOperatingPoint> merge_sweep_payloads(
+    const TradeoffAnalyzer& analyzer, std::span<const double> thresholds,
+    const std::vector<std::vector<std::uint8_t>>& payloads) {
+  std::vector<SystemOperatingPoint> points(thresholds.size());
+  std::size_t offset = 0;
+  for (const auto& payload : payloads) {
+    Reader r(payload);
+    std::size_t n = 0;
+    for (const auto field : kMeasured) {
+      const exec::wire::PackedDoubles column = r.packed_doubles();
+      if (field == kMeasured[0]) {
+        n = column.size();
+        if (n > points.size() - offset) {
+          throw exec::wire::ProtocolError(
+              "core.sweep: merged point count mismatch");
+        }
+      } else if (column.size() != n) {
+        throw exec::wire::ProtocolError("core.sweep result: ragged columns");
+      }
+      for (std::size_t i = 0; i < n; ++i) points[offset + i].*field = column[i];
+    }
+    if (!r.exhausted()) {
+      throw exec::wire::ProtocolError("core.sweep result: trailing bytes");
+    }
+    offset += n;
+  }
+  if (offset != points.size()) {
+    throw exec::wire::ProtocolError(
+        "core.sweep: merged point count mismatch");
+  }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    points[i].threshold = thresholds[i];
+    derive_system_rates(points[i], analyzer.prevalence());
+  }
+  return points;
+}
 
 std::vector<SystemOperatingPoint> sweep_sharded(
     const TradeoffAnalyzer& analyzer, const std::vector<double>& thresholds,
@@ -248,7 +259,7 @@ std::vector<SystemOperatingPoint> sweep_sharded(
   }
   HMDIV_OBS_SCOPED_TIMER("core.tradeoff.shard_sweep_ns");
   const std::vector<std::uint8_t> blob = encode_sweep_blob(analyzer, thresholds);
-  return merge_sweep_payloads(thresholds.size(),
+  return merge_sweep_payloads(analyzer, thresholds,
                               runner.run(kSweepShardWorkload, blob));
 }
 
@@ -267,7 +278,8 @@ SystemOperatingPoint minimise_cost_sharded(const TradeoffAnalyzer& analyzer,
   HMDIV_OBS_SCOPED_TIMER("core.tradeoff.shard_minimise_ns");
   const std::vector<std::uint8_t> blob =
       encode_minimise_blob(analyzer, cost_fn, cost_fp, lo, hi, steps);
-  return merge_minimise_payloads(runner.run(kMinimiseShardWorkload, blob));
+  return merge_minimise_payloads(analyzer,
+                                 runner.run(kMinimiseShardWorkload, blob));
 }
 
 std::vector<SystemOperatingPoint> sweep_clustered(
@@ -277,7 +289,7 @@ std::vector<SystemOperatingPoint> sweep_clustered(
   HMDIV_OBS_SCOPED_TIMER("core.tradeoff.cluster_sweep_ns");
   const std::vector<std::uint8_t> blob = encode_sweep_blob(analyzer, thresholds);
   return merge_sweep_payloads(
-      thresholds.size(),
+      analyzer, thresholds,
       cluster.run(kSweepShardWorkload, blob, thresholds.size()));
 }
 
@@ -290,7 +302,7 @@ SystemOperatingPoint minimise_cost_clustered(const TradeoffAnalyzer& analyzer,
   const std::vector<std::uint8_t> blob =
       encode_minimise_blob(analyzer, cost_fn, cost_fp, lo, hi, steps);
   return merge_minimise_payloads(
-      cluster.run(kMinimiseShardWorkload, blob, steps));
+      analyzer, cluster.run(kMinimiseShardWorkload, blob, steps));
 }
 
 void ensure_tradeoff_shard_registered() {}

@@ -3,11 +3,15 @@
 // Two shard workloads over the same serialized TradeoffAnalyzer:
 //
 //   "core.sweep"    — partition the threshold grid's index space; workers
-//                     sweep their wire::shard_range slice with the batched
-//                     kernel and ship the operating points back as bit
-//                     patterns. evaluate_batch is bit-identical to the
-//                     scalar evaluate() at any batch boundary, so the
-//                     parent's ascending-order concatenation equals the
+//                     decode only their wire::shard_range slice of the
+//                     grid, sweep it with the batched kernel and ship four
+//                     columns back as bit patterns: machine_fn,
+//                     machine_fp, system_fn, system_fp. The parent fills
+//                     in each threshold from its own grid and the other
+//                     four fields with derive_system_rates, the function
+//                     the kernel itself uses. evaluate_batch is
+//                     bit-identical to the scalar evaluate() at any batch
+//                     boundary, so the merged sweep equals the
 //                     single-process sweep bit-for-bit.
 //   "core.minimise" — partition the cost-scan grid; workers return their
 //                     range's best CostedOperatingPoint and the parent
@@ -16,6 +20,8 @@
 //                     rule exactly.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/tradeoff.hpp"
@@ -61,6 +67,19 @@ inline constexpr std::string_view kMinimiseShardWorkload = "core.minimise";
 [[nodiscard]] SystemOperatingPoint minimise_cost_clustered(
     const TradeoffAnalyzer& analyzer, double cost_fn, double cost_fp,
     double lo, double hi, std::size_t steps, exec::ClusterRunner& cluster);
+
+/// The "core.sweep" task blob: the analyzer, then the threshold grid.
+[[nodiscard]] std::vector<std::uint8_t> encode_sweep_blob(
+    const TradeoffAnalyzer& analyzer, std::span<const double> thresholds);
+
+/// Ascending-shard merge of "core.sweep" result payloads, shared by the
+/// sharded and clustered paths: concatenates the columns and completes
+/// each point from `thresholds` and the analyzer's prevalence. Throws
+/// exec::wire::ProtocolError on a malformed payload or a point count that
+/// does not match the grid.
+[[nodiscard]] std::vector<SystemOperatingPoint> merge_sweep_payloads(
+    const TradeoffAnalyzer& analyzer, std::span<const double> thresholds,
+    const std::vector<std::vector<std::uint8_t>>& payloads);
 
 /// No-op anchor: calling it from an executable forces this translation
 /// unit (and its static ShardWorkloadRegistrations) to link in, so daemons

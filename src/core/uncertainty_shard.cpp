@@ -27,37 +27,14 @@ struct UqShardConfig {
   std::uint64_t base = 0;
 };
 
-std::vector<std::uint8_t> encode_blob(const PosteriorModelSampler& sampler,
-                                      const DemandProfile& profile,
-                                      std::uint64_t total_draws,
-                                      std::uint64_t base) {
-  Writer w;
-  const std::size_t k = sampler.class_count();
-  w.u64(k);
-  for (const std::string& name : sampler.class_names()) w.str(name);
-  for (const ClassCounts& c : sampler.counts()) {
-    w.u64(c.cases);
-    w.u64(c.machine_failures);
-    w.u64(c.human_failures_given_machine_failed);
-    w.u64(c.human_failures_given_machine_succeeded);
-  }
-  std::vector<double> probabilities(k);
-  for (std::size_t x = 0; x < k; ++x) {
-    probabilities[x] = profile.probability(x);
-  }
-  w.doubles(probabilities);
-  w.u64(total_draws);
-  w.u64(base);
-  return w.take();
-}
-
 UqShardConfig decode_blob(std::span<const std::uint8_t> blob) {
   Reader r(blob);
-  const std::uint64_t k = r.u64();
+  // Each class needs a name's length prefix, 4 counts and a probability.
+  const std::size_t k = r.count(48);
   std::vector<std::string> names;
-  names.reserve(static_cast<std::size_t>(k));
-  for (std::uint64_t x = 0; x < k; ++x) names.push_back(r.str());
-  std::vector<ClassCounts> counts(static_cast<std::size_t>(k));
+  names.reserve(k);
+  for (std::size_t x = 0; x < k; ++x) names.push_back(r.str());
+  std::vector<ClassCounts> counts(k);
   for (ClassCounts& c : counts) {
     c.cases = r.u64();
     c.machine_failures = r.u64();
@@ -89,6 +66,7 @@ std::vector<std::uint8_t> handle_uq_shard(const exec::wire::ShardTask& task) {
       std::min(static_cast<std::size_t>(range.end) *
                    PosteriorModelSampler::kDrawChunk,
                total);
+  exec::wire::check_reply_fits(end - begin, sizeof(double));
   std::vector<double> draws(end - begin);
   config.sampler.sample_failure_probability_chunks(
       config.profile, config.base, total,
@@ -102,18 +80,44 @@ std::vector<std::uint8_t> handle_uq_shard(const exec::wire::ShardTask& task) {
 const exec::ShardWorkloadRegistration kRegistration{
     kUncertaintyShardWorkload, &handle_uq_shard};
 
-/// Ascending-shard merge shared by the process-sharded and clustered
-/// paths: concatenate each shard's chunk-aligned draw slice into `out`.
+}  // namespace
+
+std::vector<std::uint8_t> encode_uq_blob(const PosteriorModelSampler& sampler,
+                                         const DemandProfile& profile,
+                                         std::uint64_t total_draws,
+                                         std::uint64_t base) {
+  Writer w;
+  const std::size_t k = sampler.class_count();
+  w.u64(k);
+  for (const std::string& name : sampler.class_names()) w.str(name);
+  for (const ClassCounts& c : sampler.counts()) {
+    w.u64(c.cases);
+    w.u64(c.machine_failures);
+    w.u64(c.human_failures_given_machine_failed);
+    w.u64(c.human_failures_given_machine_succeeded);
+  }
+  std::vector<double> probabilities(k);
+  for (std::size_t x = 0; x < k; ++x) {
+    probabilities[x] = profile.probability(x);
+  }
+  w.doubles(probabilities);
+  w.u64(total_draws);
+  w.u64(base);
+  return w.take();
+}
+
+// Each shard's draws are a chunk-aligned slice; concatenate them in shard
+// order.
 void merge_uq_payloads(const std::vector<std::vector<std::uint8_t>>& payloads,
                        std::span<double> out) {
   std::size_t offset = 0;
   for (const auto& payload : payloads) {
     Reader r(payload);
-    const std::vector<double> draws = r.doubles();
+    const exec::wire::PackedDoubles draws = r.packed_doubles();
     if (!r.exhausted() || draws.size() > out.size() - offset) {
       throw exec::wire::ProtocolError("core.uq.sample result: bad payload");
     }
-    std::copy(draws.begin(), draws.end(), out.begin() + offset);
+    draws.copy_to(0, out.subspan(offset, draws.size()));
     offset += draws.size();
   }
   if (offset != out.size()) {
@@ -121,8 +125,6 @@ void merge_uq_payloads(const std::vector<std::vector<std::uint8_t>>& payloads,
         "core.uq.sample: merged draw count mismatch");
   }
 }
-
-}  // namespace
 
 void sample_failure_probabilities_sharded(
     const PosteriorModelSampler& sampler, const DemandProfile& profile,
@@ -145,7 +147,7 @@ void sample_failure_probabilities_sharded(
   // consumes — so caller-visible rng state stays identical.
   const std::uint64_t base = rng.next_u64();
   const std::vector<std::uint8_t> blob =
-      encode_blob(sampler, profile, out.size(), base);
+      encode_uq_blob(sampler, profile, out.size(), base);
   merge_uq_payloads(runner.run(kUncertaintyShardWorkload, blob), out);
 }
 
@@ -161,7 +163,7 @@ void sample_failure_probabilities_clustered(
   // consumes — so caller-visible rng state stays identical.
   const std::uint64_t base = rng.next_u64();
   const std::vector<std::uint8_t> blob =
-      encode_blob(sampler, profile, out.size(), base);
+      encode_uq_blob(sampler, profile, out.size(), base);
   merge_uq_payloads(
       cluster.run(kUncertaintyShardWorkload, blob,
                   PosteriorModelSampler::draw_chunk_count(out.size())),

@@ -11,7 +11,9 @@
 // output bit-for-bit.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "core/uncertainty.hpp"
 #include "exec/shard.hpp"
@@ -60,6 +62,20 @@ void sample_failure_probabilities_clustered(
     const PosteriorModelSampler& sampler, const DemandProfile& profile,
     stats::Rng& rng, std::size_t draws, double credibility,
     exec::ClusterRunner& cluster);
+
+/// The "core.uq.sample" task blob: the sampler's class counts, the
+/// profile, the total draw count and the base seed (layout in
+/// uncertainty_shard.cpp).
+[[nodiscard]] std::vector<std::uint8_t> encode_uq_blob(
+    const PosteriorModelSampler& sampler, const DemandProfile& profile,
+    std::uint64_t total_draws, std::uint64_t base);
+
+/// Ascending-shard merge of "core.uq.sample" result payloads, shared by
+/// the sharded and clustered paths: concatenates each shard's draws into
+/// `out`. Throws exec::wire::ProtocolError on a malformed payload or a
+/// draw count other than out.size().
+void merge_uq_payloads(const std::vector<std::vector<std::uint8_t>>& payloads,
+                       std::span<double> out);
 
 /// No-op anchor: calling it from an executable forces this translation
 /// unit (and its static ShardWorkloadRegistration) to link in, so daemons

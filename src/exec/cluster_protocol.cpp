@@ -80,31 +80,32 @@ std::vector<ShardSession::Reply> ShardSession::consume(
       }
       wire::ShardTask task;
       try {
-        task = wire::parse_task(frame->payload);
+        task = wire::parse_task(std::move(frame->payload));
       } catch (const std::exception& e) {
         die(std::string("shard endpoint: bad task: ") + e.what());
         break;
       }
       Reply reply;
       reply.shard_index = task.shard_index;
-      if (task.blob_cached) {
-        if (!have_blob_ || blob_workload_ != task.workload) {
-          // A correct coordinator ships the blob inline on the first task
-          // of every (re)connection; a miss is a protocol bug on its side,
-          // reported as a structured (deterministic) error.
-          append_error_frame(reply.bytes,
-                             "shard endpoint: no cached blob for workload '" +
-                                 task.workload + "'");
-          replies.push_back(std::move(reply));
-          continue;
-        }
-        task.blob = blob_;
-      } else {
-        blob_ = task.blob;
+      if (!task.blob_cached) {
+        blob_ = std::move(task.blob);
         blob_workload_ = task.workload;
         have_blob_ = true;
+      } else if (!have_blob_ || blob_workload_ != task.workload) {
+        // A correct coordinator ships the blob inline on the first task
+        // of every (re)connection; a miss is a protocol bug on its side,
+        // reported as a structured (deterministic) error.
+        append_error_frame(reply.bytes,
+                           "shard endpoint: no cached blob for workload '" +
+                               task.workload + "'");
+        replies.push_back(std::move(reply));
+        continue;
       }
-      if (execute_shard_task(task, reply.bytes)) {
+      // Lend the cached blob to the task and take it back: no copy.
+      task.blob = std::move(blob_);
+      const bool ok = execute_shard_task(task, reply.bytes);
+      blob_ = std::move(task.blob);
+      if (ok) {
         wire::append_frame(reply.bytes, wire::FrameType::done,
                            wire::serialize_done(task.shard_index));
       }

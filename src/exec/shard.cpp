@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <spawn.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -24,6 +25,8 @@
 #include "exec/cluster_protocol.hpp"
 #include "exec/config.hpp"
 #include "obs/obs.hpp"
+
+extern char** environ;
 
 namespace hmdiv::exec {
 
@@ -333,8 +336,9 @@ struct Child {
   bool reaped = false;
 };
 
-/// fork + exec one worker with both stdin and stdout on one end of a fresh
-/// socketpair; returns the parent's end (non-blocking).
+/// posix_spawn one worker with both stdin and stdout on one end of a fresh
+/// socketpair; returns the parent's end (non-blocking). A missing or
+/// unexecutable binary fails here, as Kind::spawn with its errno.
 int spawn_worker(Child& child, std::uint32_t shard, const std::string& exe) {
   int pair[2] = {-1, -1};
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair) != 0) {
@@ -342,29 +346,32 @@ int spawn_worker(Child& child, std::uint32_t shard, const std::string& exe) {
         ShardFailure{ShardFailure::Kind::spawn, shard, errno,
                      "socketpair failed"});
   }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    const int saved = errno;
-    ::close(pair[0]);
-    ::close(pair[1]);
-    throw ShardError(
-        ShardFailure{ShardFailure::Kind::spawn, shard, saved, "fork failed"});
-  }
-  if (pid == 0) {
-    // Child: only async-signal-safe calls between fork and exec. dup2
-    // clears O_CLOEXEC on the descriptors it creates; every other socket
-    // (including other workers') closes on exec.
-    if (::dup2(pair[1], STDIN_FILENO) < 0 ||
-        ::dup2(pair[1], STDOUT_FILENO) < 0) {
-      ::_exit(127);
+  // dup2 clears O_CLOEXEC on the descriptors it creates; every other
+  // socket (including other workers') closes on exec.
+  posix_spawn_file_actions_t actions;
+  int rc = ::posix_spawn_file_actions_init(&actions);
+  if (rc == 0) {
+    rc = ::posix_spawn_file_actions_adddup2(&actions, pair[1], STDIN_FILENO);
+    if (rc == 0) {
+      rc = ::posix_spawn_file_actions_adddup2(&actions, pair[1],
+                                              STDOUT_FILENO);
     }
     const char* argv[] = {exe.c_str(), kShardWorkerFlag.data(), nullptr};
-    ::execv(exe.c_str(), const_cast<char* const*>(argv));
-    ::_exit(127);  // surfaces as exit_code 127 on the parent
+    if (rc == 0) {
+      rc = ::posix_spawn(&child.pid, exe.c_str(), &actions, nullptr,
+                         const_cast<char* const*>(argv), environ);
+    }
+    ::posix_spawn_file_actions_destroy(&actions);
   }
   ::close(pair[1]);
+  if (rc != 0) {
+    child.pid = -1;
+    ::close(pair[0]);
+    throw ShardError(ShardFailure{ShardFailure::Kind::spawn, shard, rc,
+                                  std::string("posix_spawn failed: ")
+                                      .append(exe)});
+  }
   ::fcntl(pair[0], F_SETFL, O_NONBLOCK);
-  child.pid = pid;
   return pair[0];
 }
 
@@ -419,10 +426,8 @@ ShardFailure diagnose(const Child& child, std::uint32_t shard,
                             std::to_string(WTERMSIG(child.status))};
   }
   if (WIFEXITED(child.status) && WEXITSTATUS(child.status) != 0) {
-    const int code = WEXITSTATUS(child.status);
-    return ShardFailure{Kind::exit_code, shard, code,
-                        code == 127 ? "exit code 127 (exec failed?)"
-                                    : "worker exited non-zero"};
+    return ShardFailure{Kind::exit_code, shard, WEXITSTATUS(child.status),
+                        "worker exited non-zero"};
   }
   return observed != nullptr ? *observed : ShardFailure{};
 }

@@ -1,17 +1,18 @@
-// Multi-process sharded execution: fork/exec worker fan-out with a
+// Multi-process sharded execution: posix_spawn worker fan-out with a
 // deterministic merge.
 //
 // The thread pool (exec/parallel.hpp) stops at one process; the shard
 // engine is the next rung. A parent `ShardRunner` spawns N worker
-// processes — fork + exec of the *same binary* with the hidden
-// `--shard-worker` entry point — each with stdin and stdout on one end of
-// a socketpair, and hands the parent ends to the cluster scheduler
-// (exec/cluster.hpp) as already-connected workers. Each worker runs one
-// task: its shard descriptor (workload name, shard index/count, thread
-// budget, config blob) arrives as a frame of shard_protocol.hpp; the
-// worker's ShardSession rebuilds the workload from the blob, runs its
-// slice on the ordinary in-process engine (batched kernels × thread
-// pool), and ships the result plus its obs delta back.
+// processes — posix_spawn of the *same binary* with the hidden
+// `--shard-worker` entry point, whose cost does not grow with the
+// parent's memory as fork's page-table copy does — each with stdin and
+// stdout on one end of a socketpair, and hands the parent ends to the
+// cluster scheduler (exec/cluster.hpp) as already-connected workers. Each
+// worker runs one task: its shard descriptor (workload name, shard
+// index/count, thread budget, config blob) arrives as a frame of
+// shard_protocol.hpp; the worker's ShardSession rebuilds the workload from
+// the blob, runs its slice on the ordinary in-process engine (batched
+// kernels × thread pool), and ships the result plus its obs delta back.
 //
 // Determinism contract — the same guarantee the thread pool gives at 1 vs
 // N threads, lifted to processes: the work partition depends only on the
@@ -23,7 +24,9 @@
 // output is therefore bit-identical to the 1-shard and to the in-process
 // run.
 //
-// Failure handling: local workers fail fast. The first worker that dies
+// Failure handling: a binary that cannot be executed fails the spawn
+// itself (Kind::spawn, code = the errno posix_spawn returned, e.g.
+// ENOENT). Local workers fail fast. The first worker that dies
 // (non-zero exit, signal, SIGKILL), writes a truncated frame, ships an
 // error, or stalls past the deadline stops the run; the parent kills the
 // rest, reaps every child via waitpid, and raises a structured ShardError
@@ -65,7 +68,7 @@ inline constexpr unsigned kMaxShards = 256;
 struct ShardFailure {
   enum class Kind {
     none,        ///< no failure
-    spawn,       ///< socketpair/fork/exec failed (code = errno)
+    spawn,       ///< socketpair/posix_spawn failed (code = errno)
     write,       ///< task hand-off failed, e.g. worker died reading (errno)
     timeout,     ///< deadline expired before the worker finished
     signal,      ///< worker killed by signal (code = signal number)

@@ -1,6 +1,7 @@
 #include "exec/shard_protocol.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace hmdiv::exec::wire {
 
@@ -55,12 +56,20 @@ std::optional<Frame> FrameParser::next() {
   if (buffer_.size() - kHeaderSize < length) return std::nullopt;
   Frame frame;
   frame.type = static_cast<FrameType>(type);
-  frame.payload.assign(
-      buffer_.begin() + static_cast<std::ptrdiff_t>(kHeaderSize),
-      buffer_.begin() + static_cast<std::ptrdiff_t>(kHeaderSize + length));
-  buffer_.erase(
-      buffer_.begin(),
-      buffer_.begin() + static_cast<std::ptrdiff_t>(kHeaderSize + length));
+  const auto payload_begin =
+      buffer_.begin() + static_cast<std::ptrdiff_t>(kHeaderSize);
+  const auto payload_end =
+      payload_begin + static_cast<std::ptrdiff_t>(length);
+  if (payload_end == buffer_.end()) {
+    // The buffer holds exactly this frame (the usual case for a large
+    // one): hand its storage over rather than copying the payload.
+    buffer_.erase(buffer_.begin(), payload_begin);
+    frame.payload = std::move(buffer_);
+    buffer_.clear();
+  } else {
+    frame.payload.assign(payload_begin, payload_end);
+    buffer_.erase(buffer_.begin(), payload_end);
+  }
   return frame;
 }
 
@@ -78,7 +87,7 @@ std::vector<std::uint8_t> serialize_task(const ShardTask& task) {
   return w.take();
 }
 
-ShardTask parse_task(std::span<const std::uint8_t> payload) {
+ShardTask parse_task(std::vector<std::uint8_t> payload) {
   Reader r(payload);
   ShardTask task;
   task.workload = r.str();
@@ -89,11 +98,14 @@ ShardTask parse_task(std::span<const std::uint8_t> payload) {
   task.obs_enabled = r.u8() != 0;
   task.blob_cached = r.u8() != 0;
   const std::uint64_t blob_size = r.u64();
-  const auto blob = r.take(blob_size);
-  task.blob.assign(blob.begin(), blob.end());
+  static_cast<void>(r.take(blob_size));
   if (!r.exhausted()) {
     throw ProtocolError("shard task: trailing bytes after blob");
   }
+  // The blob is the payload's tail: drop the descriptor in front of it.
+  payload.erase(payload.begin(),
+                payload.end() - static_cast<std::ptrdiff_t>(blob_size));
+  task.blob = std::move(payload);
   if (task.shard_count == 0 || task.shard_index >= task.shard_count) {
     throw ProtocolError("shard task: shard_index outside [0, shard_count)");
   }
@@ -141,6 +153,13 @@ ShardRange task_range(std::uint64_t items, const ShardTask& task) noexcept {
   return ShardRange{
       shard_range(items, task.shard_index, task.shard_count).begin,
       shard_range(items, task.shard_index + span - 1, task.shard_count).end};
+}
+
+void check_reply_fits(std::uint64_t items, std::size_t bytes_per_item) {
+  if (items > kMaxFramePayload / bytes_per_item) {
+    throw ProtocolError("shard task: a reply of " + std::to_string(items) +
+                        " items exceeds the frame limit");
+  }
 }
 
 }  // namespace hmdiv::exec::wire

@@ -18,6 +18,7 @@
 // stream (EOF with parser not idle), never as a short garbage frame.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -44,6 +45,12 @@ inline constexpr std::uint32_t kFrameMagic = 0x46444D48u;
 /// corrupted length field, not a workload — fail fast instead of trying to
 /// buffer it.
 inline constexpr std::uint64_t kMaxFramePayload = 64ull << 20;
+
+// Doubles fields are copied in bulk as host memory, which is the wire's
+// little-endian layout only on a little-endian host. One byte order, one
+// code path: a big-endian port must add the swap here, not beside it.
+static_assert(std::endian::native == std::endian::little,
+              "the HMDF wire format assumes a little-endian host");
 
 enum class FrameType : std::uint32_t {
   /// Parent -> worker: shard descriptor + workload config blob.
@@ -87,9 +94,11 @@ class Writer {
     u64(s.size());
     bytes_.insert(bytes_.end(), s.begin(), s.end());
   }
+  /// u64 count, then the values' bit patterns in one copy.
   void doubles(std::span<const double> values) {
     u64(values.size());
-    for (const double v : values) f64(v);
+    const auto* raw = reinterpret_cast<const std::uint8_t*>(values.data());
+    bytes_.insert(bytes_.end(), raw, raw + values.size_bytes());
   }
   void bytes(std::span<const std::uint8_t> raw) {
     bytes_.insert(bytes_.end(), raw.begin(), raw.end());
@@ -102,6 +111,37 @@ class Writer {
 
  private:
   std::vector<std::uint8_t> bytes_;
+};
+
+/// A `doubles` field still in wire form, so a decoder can copy out just
+/// the elements it needs (a shard worker's slice of a grid).
+class PackedDoubles {
+ public:
+  explicit PackedDoubles(std::span<const std::uint8_t> bytes)
+      : bytes_(bytes) {}
+
+  [[nodiscard]] std::size_t size() const {
+    return bytes_.size() / sizeof(double);
+  }
+  /// Element i; requires i < size().
+  [[nodiscard]] double operator[](std::size_t i) const {
+    double v;
+    std::memcpy(&v, bytes_.data() + i * sizeof v, sizeof v);
+    return v;
+  }
+  /// Copies elements [first, first + out.size()) into `out` in one copy;
+  /// throws ProtocolError if that range is not inside the field.
+  void copy_to(std::uint64_t first, std::span<double> out) const {
+    if (first > size() || out.size() > size() - first) {
+      throw ProtocolError("doubles field: slice out of range");
+    }
+    if (out.empty()) return;
+    std::memcpy(out.data(), bytes_.data() + first * sizeof(double),
+                out.size_bytes());
+  }
+
+ private:
+  std::span<const std::uint8_t> bytes_;
 };
 
 /// Bounds-checked cursor over a payload; throws ProtocolError on underrun.
@@ -133,11 +173,26 @@ class Reader {
     const auto raw = take(n);
     return std::string(reinterpret_cast<const char*>(raw.data()), raw.size());
   }
-  [[nodiscard]] std::vector<double> doubles() {
+  /// Reads a u64 element count and rejects it, before anything is sized
+  /// from it, unless the rest of the payload could hold that many items of
+  /// at least `min_item_bytes` each. Decoders size every container from a
+  /// wire count through this, so a lying count costs no memory.
+  [[nodiscard]] std::size_t count(std::size_t min_item_bytes) {
     const std::uint64_t n = u64();
-    std::vector<double> out;
-    out.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) out.push_back(f64());
+    if (n > remaining() / min_item_bytes) {
+      throw ProtocolError("shard frame: count of " + std::to_string(n) +
+                          " exceeds the remaining payload");
+    }
+    return static_cast<std::size_t>(n);
+  }
+  [[nodiscard]] PackedDoubles packed_doubles() {
+    const std::size_t n = count(sizeof(double));
+    return PackedDoubles(take(n * sizeof(double)));
+  }
+  [[nodiscard]] std::vector<double> doubles() {
+    const PackedDoubles packed = packed_doubles();
+    std::vector<double> out(packed.size());
+    packed.copy_to(0, out);
     return out;
   }
   [[nodiscard]] std::span<const std::uint8_t> take(std::uint64_t n) {
@@ -215,7 +270,9 @@ struct ShardTask {
 };
 
 [[nodiscard]] std::vector<std::uint8_t> serialize_task(const ShardTask& task);
-[[nodiscard]] ShardTask parse_task(std::span<const std::uint8_t> payload);
+/// Parses a task frame's payload. Takes it by value so the blob — the
+/// bulk of a task — moves into ShardTask::blob instead of being copied.
+[[nodiscard]] ShardTask parse_task(std::vector<std::uint8_t> payload);
 
 /// Payload of a done frame: the id (span-start shard index) of the task
 /// whose reply frames precede it on the stream.
@@ -241,5 +298,11 @@ struct ShardRange {
 /// the same code serves span == 1 and micro-task spans.
 [[nodiscard]] ShardRange task_range(std::uint64_t items,
                                     const ShardTask& task) noexcept;
+
+/// Throws ProtocolError unless a reply of `items` results at
+/// `bytes_per_item` bytes each fits one frame payload. Workers check their
+/// slice with this before computing it, so a blob whose work-size field
+/// lies is refused up front rather than computed and then undeliverable.
+void check_reply_fits(std::uint64_t items, std::size_t bytes_per_item);
 
 }  // namespace hmdiv::exec::wire

@@ -279,6 +279,15 @@ struct Cursor {
     const auto raw = take(n);
     return std::string(reinterpret_cast<const char*>(raw.data()), raw.size());
   }
+  /// A u64 element count, rejected unless the rest of the payload could
+  /// hold that many items of at least `min_item_bytes` each.
+  std::size_t count(std::size_t min_item_bytes) {
+    const std::uint64_t n = u64();
+    if (n > (bytes.size() - pos) / min_item_bytes) {
+      throw std::runtime_error("obs snapshot: count exceeds payload");
+    }
+    return static_cast<std::size_t>(n);
+  }
 };
 
 }  // namespace
@@ -315,17 +324,19 @@ Snapshot parse_snapshot(std::span<const std::uint8_t> bytes) {
                              std::to_string(version));
   }
   Snapshot out;
-  const std::uint64_t counters = in.u64();
-  out.counters.reserve(static_cast<std::size_t>(counters));
-  for (std::uint64_t i = 0; i < counters; ++i) {
+  // A counter is a name (length prefix) and a value.
+  const std::size_t counters = in.count(16);
+  out.counters.reserve(counters);
+  for (std::size_t i = 0; i < counters; ++i) {
     CounterSnapshot c;
     c.name = in.str();
     c.value = in.u64();
     out.counters.push_back(std::move(c));
   }
-  const std::uint64_t histograms = in.u64();
-  out.histograms.reserve(static_cast<std::size_t>(histograms));
-  for (std::uint64_t i = 0; i < histograms; ++i) {
+  // A histogram is a name (length prefix), 7 fields and a bucket count.
+  const std::size_t histograms = in.count(72);
+  out.histograms.reserve(histograms);
+  for (std::size_t i = 0; i < histograms; ++i) {
     HistogramSnapshot h;
     h.name = in.str();
     h.count = in.u64();

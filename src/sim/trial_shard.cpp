@@ -10,17 +10,15 @@
 
 namespace hmdiv::sim {
 
-namespace {
-
 // Blob layout: u64 n_classes, n × str name, n × 3 f64 conditionals,
 // doubles profile probabilities, u64 case_count, u64 seed. Doubles travel
 // as bit patterns and the profile rebuilds through from_normalised, so the
 // worker's TabularWorld (joint alias table included) matches the parent's
 // bit-for-bit.
 
-std::vector<std::uint8_t> encode_blob(const TabularWorld& world,
-                                      std::uint64_t case_count,
-                                      std::uint64_t seed) {
+std::vector<std::uint8_t> encode_trial_blob(const TabularWorld& world,
+                                            std::uint64_t case_count,
+                                            std::uint64_t seed) {
   const core::SequentialModel& model = world.model();
   exec::wire::Writer w;
   const std::size_t k = model.class_count();
@@ -42,6 +40,8 @@ std::vector<std::uint8_t> encode_blob(const TabularWorld& world,
   return w.take();
 }
 
+namespace {
+
 struct TrialShardConfig {
   TabularWorld world;
   std::uint64_t case_count = 0;
@@ -50,12 +50,13 @@ struct TrialShardConfig {
 
 TrialShardConfig decode_blob(std::span<const std::uint8_t> blob) {
   exec::wire::Reader r(blob);
-  const std::uint64_t k = r.u64();
+  // Each class needs a name's length prefix, 3 conditionals and a
+  // probability.
+  const std::size_t k = r.count(40);
   std::vector<std::string> names;
-  names.reserve(static_cast<std::size_t>(k));
-  for (std::uint64_t x = 0; x < k; ++x) names.push_back(r.str());
-  std::vector<core::ClassConditional> parameters(
-      static_cast<std::size_t>(k));
+  names.reserve(k);
+  for (std::size_t x = 0; x < k; ++x) names.push_back(r.str());
+  std::vector<core::ClassConditional> parameters(k);
   for (auto& c : parameters) {
     c.p_machine_fails = r.f64();
     c.p_human_fails_given_machine_fails = r.f64();
@@ -74,6 +75,9 @@ TrialShardConfig decode_blob(std::span<const std::uint8_t> blob) {
   return config;
 }
 
+/// Wire size of one case record: u32 class index, u8 failure flags.
+constexpr std::size_t kRecordBytes = 5;
+
 std::vector<std::uint8_t> encode_records(
     std::span<const CaseRecord> records) {
   exec::wire::Writer w;
@@ -90,9 +94,9 @@ void decode_records_into(std::span<const std::uint8_t> payload,
                          std::vector<CaseRecord>& out,
                          std::size_t class_count) {
   exec::wire::Reader r(payload);
-  const std::uint64_t n = r.u64();
-  out.reserve(out.size() + static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
+  const std::size_t n = r.count(kRecordBytes);
+  out.reserve(out.size() + n);
+  for (std::size_t i = 0; i < n; ++i) {
     CaseRecord record;
     record.class_index = r.u32();
     const std::uint8_t flags = r.u8();
@@ -117,6 +121,8 @@ std::vector<std::uint8_t> handle_trial_shard(
   TrialRunner runner(config.world, config.case_count);
   const exec::wire::ShardRange range =
       exec::wire::task_range(runner.batch_count(), task);
+  exec::wire::check_reply_fits(range.size(),
+                               TrialRunner::kBatchSize * kRecordBytes);
   return encode_records(
       runner.run_batches(config.seed, range.begin, range.end));
 }
@@ -124,9 +130,10 @@ std::vector<std::uint8_t> handle_trial_shard(
 const exec::ShardWorkloadRegistration kRegistration{kTrialShardWorkload,
                                                     &handle_trial_shard};
 
-/// Ascending-shard merge shared by the process-sharded and clustered
-/// paths; both transports return payloads in shard order, so the merged
-/// record stream is transport-independent.
+}  // namespace
+
+// Both transports return payloads in shard order, so the merged record
+// stream is transport-independent.
 TrialData merge_trial_payloads(
     const TabularWorld& world, std::uint64_t case_count,
     const std::vector<std::vector<std::uint8_t>>& payloads) {
@@ -143,8 +150,6 @@ TrialData merge_trial_payloads(
   return data;
 }
 
-}  // namespace
-
 TrialData run_trial_sharded(const TabularWorld& world,
                             std::uint64_t case_count, std::uint64_t seed,
                             const exec::ShardOptions& options) {
@@ -157,7 +162,8 @@ TrialData run_trial_sharded(const TabularWorld& world,
                                    : exec::default_config());
   }
   HMDIV_OBS_SCOPED_TIMER("sim.trial.shard_ns");
-  const std::vector<std::uint8_t> blob = encode_blob(world, case_count, seed);
+  const std::vector<std::uint8_t> blob =
+      encode_trial_blob(world, case_count, seed);
   return merge_trial_payloads(world, case_count,
                               runner.run(kTrialShardWorkload, blob));
 }
@@ -166,7 +172,8 @@ TrialData run_trial_clustered(const TabularWorld& world,
                               std::uint64_t case_count, std::uint64_t seed,
                               exec::ClusterRunner& cluster) {
   HMDIV_OBS_SCOPED_TIMER("sim.trial.cluster_ns");
-  const std::vector<std::uint8_t> blob = encode_blob(world, case_count, seed);
+  const std::vector<std::uint8_t> blob =
+      encode_trial_blob(world, case_count, seed);
   // Items hint: batches are the substream grain, so the coordinator can
   // micro-task at batch granularity.
   const std::uint64_t batches =

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "exec/shard.hpp"
 #include "sim/tabular_world.hpp"
@@ -42,6 +43,18 @@ inline constexpr std::string_view kTrialShardWorkload = "sim.trial";
                                             std::uint64_t case_count,
                                             std::uint64_t seed,
                                             exec::ClusterRunner& cluster);
+
+/// The "sim.trial" task blob: the world's model and profile, case_count
+/// and seed (layout in trial_shard.cpp).
+[[nodiscard]] std::vector<std::uint8_t> encode_trial_blob(
+    const TabularWorld& world, std::uint64_t case_count, std::uint64_t seed);
+
+/// Ascending-shard merge of "sim.trial" result payloads, shared by the
+/// sharded and clustered paths. Throws exec::wire::ProtocolError on a
+/// malformed payload or a record count other than `case_count`.
+[[nodiscard]] TrialData merge_trial_payloads(
+    const TabularWorld& world, std::uint64_t case_count,
+    const std::vector<std::vector<std::uint8_t>>& payloads);
 
 /// No-op anchor: calling it from an executable forces this translation
 /// unit (and its static ShardWorkloadRegistration) to link in, so daemons

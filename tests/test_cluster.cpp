@@ -52,6 +52,7 @@
 #include "sim/trial.hpp"
 #include "sim/trial_shard.hpp"
 #include "stats/rng.hpp"
+#include "tradeoff_fixtures.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define HMDIV_TSAN 1
@@ -203,26 +204,6 @@ std::vector<double> reference_thresholds(std::size_t n) {
                                static_cast<double>(n - 1);
   }
   return thresholds;
-}
-
-void expect_points_equal(
-    const std::vector<core::SystemOperatingPoint>& actual,
-    const std::vector<core::SystemOperatingPoint>& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(actual[i].threshold),
-              std::bit_cast<std::uint64_t>(expected[i].threshold))
-        << "point " << i;
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(actual[i].system_fn),
-              std::bit_cast<std::uint64_t>(expected[i].system_fn))
-        << "point " << i;
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(actual[i].system_fp),
-              std::bit_cast<std::uint64_t>(expected[i].system_fp))
-        << "point " << i;
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(actual[i].ppv),
-              std::bit_cast<std::uint64_t>(expected[i].ppv))
-        << "point " << i;
-  }
 }
 
 // --- cli::parse_host_port -------------------------------------------------
@@ -628,15 +609,12 @@ TEST(ClusterRunnerTest, SweepAndMinimiseAreBitIdentical) {
 
   exec::ClusterRunner cluster(
       cluster_options({a.address(), b.address()}, /*shards=*/3));
-  expect_points_equal(core::sweep_clustered(analyzer, thresholds, cluster),
-                      reference);
-  const auto best =
+  test::expect_points_bit_identical(
+      core::sweep_clustered(analyzer, thresholds, cluster), reference);
+  test::expect_point_bit_identical(
       core::minimise_cost_clustered(analyzer, 500.0, 20.0, -4.0, 4.0, 999,
-                                    cluster);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(best.threshold),
-            std::bit_cast<std::uint64_t>(best_reference.threshold));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(best.system_fn),
-            std::bit_cast<std::uint64_t>(best_reference.system_fn));
+                                    cluster),
+      best_reference);
 
   // Flat plateau: the earliest-grid-point tie rule must survive the
   // network transport too.
@@ -650,6 +628,24 @@ TEST(ClusterRunnerTest, SweepAndMinimiseAreBitIdentical) {
     EXPECT_EQ(stats.retries, 0u) << stats.address;
     EXPECT_GT(stats.tasks, 0u) << stats.address;
   }
+}
+
+TEST(ClusterRunnerTest, SweepZeroRecallBranchIsBitIdentical) {
+  HMDIV_REQUIRE_DAEMONS();
+  SpawnedDaemon a;
+  SpawnedDaemon b;
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  // The coordinator recomputes ppv from the shipped columns, so its
+  // recall_rate == 0 branch must match the kernel's bit for bit.
+  const core::TradeoffAnalyzer analyzer = test::silent_recall_analyzer();
+  const std::vector<double> thresholds = test::wide_thresholds(801);
+  const auto reference = analyzer.sweep(thresholds, exec::Config{2});
+  ASSERT_TRUE(test::reaches_zero_recall(reference));
+  exec::ClusterRunner cluster(
+      cluster_options({a.address(), b.address()}, /*shards=*/5));
+  test::expect_points_bit_identical(
+      core::sweep_clustered(analyzer, thresholds, cluster), reference);
 }
 
 TEST(ClusterRunnerTest, PosteriorDrawsAreBitIdenticalAndRngInLockstep) {
@@ -741,8 +737,8 @@ TEST(ClusterRunnerTest, DeadWorkerFailsOverToHealthyOne) {
       cluster_options({"127.0.0.1:1", live.address()}, /*shards=*/3);
   options.connect_timeout = 2s;
   exec::ClusterRunner cluster(std::move(options));
-  expect_points_equal(core::sweep_clustered(analyzer, thresholds, cluster),
-                      reference);
+  test::expect_points_bit_identical(
+      core::sweep_clustered(analyzer, thresholds, cluster), reference);
   const auto stats = cluster.worker_stats();
   ASSERT_EQ(stats.size(), 2u);
   // A connect refusal happens before a task is ever issued, so it marks
@@ -771,8 +767,8 @@ TEST(ClusterFaultTest, ConnectionResetReassignsBitIdentical) {
 
   exec::ClusterRunner cluster(
       cluster_options({faulty.address(), clean.address()}, /*shards=*/4));
-  expect_points_equal(core::sweep_clustered(analyzer, thresholds, cluster),
-                      reference);
+  test::expect_points_bit_identical(
+      core::sweep_clustered(analyzer, thresholds, cluster), reference);
   const auto stats = cluster.worker_stats();
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_GE(stats[0].retries, 1u);
@@ -797,8 +793,8 @@ TEST(ClusterFaultTest, SlowDrainPastDeadlineReassignsBitIdentical) {
       cluster_options({faulty.address(), clean.address()}, /*shards=*/2);
   options.task_deadline = 500ms;
   exec::ClusterRunner cluster(std::move(options));
-  expect_points_equal(core::sweep_clustered(analyzer, thresholds, cluster),
-                      reference);
+  test::expect_points_bit_identical(
+      core::sweep_clustered(analyzer, thresholds, cluster), reference);
   const auto stats = cluster.worker_stats();
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_GE(stats[0].retries, 1u);
@@ -833,7 +829,7 @@ TEST(ClusterRunnerTest, WindowAndTaskSizingAreBitIdenticalAcrossDepths) {
           cluster_options({a.address(), b.address()}, shards);
       options.window = window;
       exec::ClusterRunner cluster(std::move(options));
-      expect_points_equal(
+      test::expect_points_bit_identical(
           core::sweep_clustered(analyzer, thresholds, cluster), reference);
       const sim::TrialData trial =
           sim::run_trial_clustered(world, kCases, kSeed, cluster);
@@ -873,8 +869,8 @@ TEST(ClusterFaultTest, DelayedRepliesStayBitIdentical) {
       cluster_options({delayed.address(), clean.address()}, /*shards=*/0);
   options.window = 4;
   exec::ClusterRunner cluster(std::move(options));
-  expect_points_equal(core::sweep_clustered(analyzer, thresholds, cluster),
-                      reference);
+  test::expect_points_bit_identical(
+      core::sweep_clustered(analyzer, thresholds, cluster), reference);
   for (const auto& stats : cluster.worker_stats()) {
     EXPECT_EQ(stats.retries, 0u) << stats.address;  // late is not lost
   }
@@ -902,8 +898,8 @@ TEST(ClusterFaultTest, SidelinedWorkerIsReadmittedBitIdentical) {
   // replies to drain the queue, so the probe fires while work remains.
   options.readmit_after = 30ms;
   exec::ClusterRunner cluster(std::move(options));
-  expect_points_equal(core::sweep_clustered(analyzer, thresholds, cluster),
-                      reference);
+  test::expect_points_bit_identical(
+      core::sweep_clustered(analyzer, thresholds, cluster), reference);
   const auto stats = cluster.worker_stats();
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_GE(stats[0].retries, 1u);

@@ -419,6 +419,19 @@ TEST(ObsMerge, ParseRejectsTruncatedAndTrailingBytes) {
                std::runtime_error);
 }
 
+TEST(ObsMerge, ParseRejectsACountPastThePayload) {
+  // An empty snapshot whose counter count (the u64 after the version)
+  // reads 2^40: the parser must refuse it before reserving anything.
+  std::vector<std::uint8_t> bytes = obs::serialize_snapshot(obs::Snapshot{});
+  ASSERT_GE(bytes.size(), 16U);
+  for (int b = 0; b < 8; ++b) {
+    bytes[8 + static_cast<std::size_t>(b)] =
+        static_cast<std::uint8_t>((std::uint64_t{1} << 40) >> (8 * b));
+  }
+  EXPECT_THROW(static_cast<void>(obs::parse_snapshot(bytes)),
+               std::runtime_error);
+}
+
 #if HMDIV_OBS
 TEST(ObsMerge, MergedWorkerCountsEqualSingleProcessRun) {
   // The shard invariant at the registry level: N workers each tallying a

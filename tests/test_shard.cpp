@@ -41,6 +41,7 @@
 #include "sim/trial.hpp"
 #include "sim/trial_shard.hpp"
 #include "stats/rng.hpp"
+#include "tradeoff_fixtures.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define HMDIV_TSAN 1
@@ -178,6 +179,50 @@ TEST(ShardProtocol, ReaderThrowsOnUnderrun) {
   const std::vector<std::uint8_t> payload = w.data();
   wire::Reader r(payload);
   EXPECT_THROW(r.u64(), wire::ProtocolError);
+}
+
+TEST(ShardProtocol, DoublesPrefixPastThePayloadIsRejected) {
+  // 2^61 doubles: n * 8 wraps to 0, so only a check against the bytes
+  // left stops the decoder from sizing a vector from the count.
+  wire::Writer w;
+  w.u64(std::uint64_t{1} << 61);
+  w.f64(1.0);
+  const std::vector<std::uint8_t> payload = w.take();
+  wire::Reader r(payload);
+  EXPECT_THROW(static_cast<void>(r.doubles()), wire::ProtocolError);
+}
+
+TEST(ShardProtocol, CountIsBoundedByTheRemainingPayload) {
+  wire::Writer w;
+  w.u64(3);
+  w.u64(0);
+  w.u64(0);
+  w.u64(0);
+  const std::vector<std::uint8_t> payload = w.take();
+  EXPECT_EQ(wire::Reader(payload).count(8), 3u);
+  EXPECT_THROW(static_cast<void>(wire::Reader(payload).count(9)),
+               wire::ProtocolError);
+}
+
+TEST(ShardProtocol, SweepBlobWithHugeResponseCountIsRejected) {
+  // A well-formed analyzer prefix whose fn_response count reads 2^40:
+  // the decoder must refuse it before allocating 16 TB of responses.
+  wire::Writer w;
+  w.doubles(std::vector<double>{2.0});   // cancer class means
+  w.doubles(std::vector<double>{-2.0});  // normal class means
+  w.u64(1);                              // cancer profile: one class
+  w.str("c");
+  w.doubles(std::vector<double>{1.0});
+  w.u64(std::uint64_t{1} << 40);  // fn_response count
+  w.f64(0.1);
+  w.f64(0.2);
+  wire::ShardTask task;
+  task.workload = std::string(core::kSweepShardWorkload);
+  task.blob = w.take();
+  const exec::ShardHandler handler =
+      exec::find_shard_workload(core::kSweepShardWorkload);
+  ASSERT_NE(handler, nullptr);
+  EXPECT_THROW(static_cast<void>(handler(task)), wire::ProtocolError);
 }
 
 TEST(ShardProtocol, FrameParserReassemblesByteByByte) {
@@ -479,9 +524,10 @@ TEST(ShardRunnerTest, BadWorkerBinarySurfacesExecFailure) {
   HMDIV_SKIP_FORK_UNDER_TSAN();
   exec::ShardOptions options = test_options(2);
   options.exe = "/no/such/binary";
+  // posix_spawn reports the exec failure itself, before any worker runs.
   const exec::ShardFailure failure = expect_failure("test.echo", options);
-  EXPECT_EQ(failure.kind, exec::ShardFailure::Kind::exit_code);
-  EXPECT_EQ(failure.code, 127);
+  EXPECT_EQ(failure.kind, exec::ShardFailure::Kind::spawn);
+  EXPECT_EQ(failure.code, ENOENT);
   expect_no_zombies();
 }
 
@@ -493,8 +539,8 @@ TEST(ShardRunnerTest, SurvivesSigalrmStormWithoutSaRestart) {
   // Fault injection for the runner's EINTR handling: a no-op SIGALRM
   // handler installed WITHOUT SA_RESTART interrupts every blocking
   // syscall in the parent (poll, send, recv, waitpid) at ~2 kHz while
-  // workers run. Workers are unaffected: fork clears interval timers and
-  // exec resets the handler.
+  // workers run. Workers are unaffected: a spawned process starts with
+  // no interval timers and exec resets the handler.
   struct sigaction storm {};
   storm.sa_handler = &storm_tick;
   sigemptyset(&storm.sa_mask);
@@ -745,14 +791,21 @@ TEST(ShardDeterminism, SweepPointsAreBitIdenticalAcrossShardCounts) {
   const auto reference = analyzer.sweep(thresholds, exec::Config{2});
   const auto sharded = core::sweep_sharded(analyzer, thresholds,
                                            test_options(4));
-  ASSERT_EQ(sharded.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(sharded[i].threshold, reference[i].threshold);
-    EXPECT_EQ(sharded[i].system_fn, reference[i].system_fn);
-    EXPECT_EQ(sharded[i].system_fp, reference[i].system_fp);
-    EXPECT_EQ(sharded[i].sensitivity, reference[i].sensitivity);
-    EXPECT_EQ(sharded[i].ppv, reference[i].ppv);
-  }
+  test::expect_points_bit_identical(sharded, reference);
+  expect_no_zombies();
+}
+
+TEST(ShardDeterminism, SweepZeroRecallBranchIsBitIdentical) {
+  HMDIV_SKIP_FORK_UNDER_TSAN();
+  // Out to ±40 the machine is silent on every case at the top of the
+  // grid, so nothing is recalled and the merge's recomputed ppv must take
+  // the same recall_rate == 0 branch the kernel does.
+  const core::TradeoffAnalyzer analyzer = test::silent_recall_analyzer();
+  const std::vector<double> thresholds = test::wide_thresholds(801);
+  const auto reference = analyzer.sweep(thresholds, exec::Config{2});
+  ASSERT_TRUE(test::reaches_zero_recall(reference));
+  test::expect_points_bit_identical(
+      core::sweep_sharded(analyzer, thresholds, test_options(3)), reference);
   expect_no_zombies();
 }
 
@@ -777,9 +830,7 @@ TEST(ShardDeterminism, MinimiseCostMatchesInProcessGridSearch) {
       analyzer.minimise_cost(500.0, 20.0, -4.0, 4.0, 2001, exec::Config{2});
   const auto sharded = core::minimise_cost_sharded(
       analyzer, 500.0, 20.0, -4.0, 4.0, 2001, test_options(3));
-  EXPECT_EQ(sharded.threshold, reference.threshold);
-  EXPECT_EQ(sharded.system_fn, reference.system_fn);
-  EXPECT_EQ(sharded.system_fp, reference.system_fp);
+  test::expect_point_bit_identical(sharded, reference);
   expect_no_zombies();
 }
 

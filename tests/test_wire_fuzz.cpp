@@ -1,0 +1,337 @@
+// Seeded mutation fuzzing of the fan-out decoders.
+//
+// Targets: the three blob handlers ("sim.trial", "core.sweep",
+// "core.uq.sample") and the trial, sweep and UQ merges. Each target starts
+// from valid inputs built by the production encoders and handlers, then
+// decodes kIterations mutants of them: bit flips, truncations, lying
+// 8-byte length or count fields, and splices of byte ranges between
+// seeds. The property: every mutant yields a value or throws
+// exec::wire::ProtocolError or std::invalid_argument — never another
+// exception (bad_alloc, length_error), and under the sanitizer build
+// never an out-of-bounds access or undefined behaviour.
+//
+// The trailing (work size, seed) words of the trial and UQ blobs are not
+// overwritten in place: any value there is a valid request whose cost is
+// its size, which is not a decoder property. Truncations and splices
+// still move them, and the handlers refuse any slice whose reply cannot
+// fit one frame before computing it.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <exception>
+#include <functional>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <typeinfo>
+#include <vector>
+
+#include "core/paper_example.hpp"
+#include "core/tradeoff.hpp"
+#include "core/tradeoff_shard.hpp"
+#include "core/uncertainty.hpp"
+#include "core/uncertainty_shard.hpp"
+#include "exec/shard.hpp"
+#include "exec/shard_protocol.hpp"
+#include "sim/tabular_world.hpp"
+#include "sim/trial_shard.hpp"
+#include "stats/rng.hpp"
+
+namespace hmdiv {
+namespace {
+
+namespace wire = exec::wire;
+using Bytes = std::vector<std::uint8_t>;
+
+constexpr int kIterations = 2000;
+
+/// Values a lying length or count field takes: empty, one, off by one
+/// from the truth, large, and the ones whose byte size wraps.
+constexpr std::uint64_t kLies[] = {
+    0,
+    1,
+    std::uint64_t{1} << 24,
+    std::uint64_t{1} << 32,
+    std::uint64_t{1} << 40,
+    std::uint64_t{1} << 61,
+    std::uint64_t{1} << 63,
+    ~std::uint64_t{0},
+};
+
+class Mutator {
+ public:
+  explicit Mutator(std::uint64_t seed) : rng_(seed) {}
+
+  /// One mutant of `seed`: one to three stacked mutations. Bytes in the
+  /// last `frozen_tail` are not overwritten in place.
+  Bytes mutate(const Bytes& seed, const std::vector<Bytes>& corpus,
+               std::size_t frozen_tail) {
+    Bytes out = seed;
+    const std::size_t rounds = 1 + below(3);
+    for (std::size_t i = 0; i < rounds; ++i) {
+      const std::size_t open =
+          out.size() > frozen_tail ? out.size() - frozen_tail : 0;
+      switch (below(4)) {
+        case 0:  // bit flips
+          if (open == 0) break;
+          for (std::size_t f = 1 + below(4); f > 0; --f) {
+            out[below(open)] ^= static_cast<std::uint8_t>(1u << below(8));
+          }
+          break;
+        case 1:  // truncation
+          out.resize(below(out.size() + 1));
+          break;
+        case 2: {  // a lying 8-byte length or count field
+          if (open < 8) break;
+          const std::size_t at = below(open - 7);
+          std::uint64_t lie = kLies[below(std::size(kLies))];
+          if (below(4) == 0) {
+            // Off by one from whatever is there.
+            std::uint64_t truth = 0;
+            for (int b = 0; b < 8; ++b) {
+              truth |= std::uint64_t{out[at + b]} << (8 * b);
+            }
+            lie = below(2) == 0 ? truth + 1 : truth - 1;
+          }
+          for (int b = 0; b < 8; ++b) {
+            out[at + b] = static_cast<std::uint8_t>(lie >> (8 * b));
+          }
+          break;
+        }
+        default: {  // splice a range of another seed over a range of this
+          const Bytes& donor = corpus[below(corpus.size())];
+          const std::size_t from = below(donor.size() + 1);
+          const std::size_t take = below(donor.size() - from + 1);
+          const std::size_t at = below(open + 1);
+          const std::size_t drop = below(open - at + 1);
+          const auto offset = [](const Bytes& bytes, std::size_t pos) {
+            return bytes.cbegin() + static_cast<std::ptrdiff_t>(pos);
+          };
+          Bytes spliced(out.cbegin(), offset(out, at));
+          spliced.insert(spliced.end(), offset(donor, from),
+                         offset(donor, from + take));
+          spliced.insert(spliced.end(), offset(out, at + drop), out.cend());
+          out = std::move(spliced);
+          break;
+        }
+      }
+    }
+    return out;
+  }
+
+  std::size_t below(std::size_t n) {
+    return n == 0 ? 0 : static_cast<std::size_t>(rng_.next_u64() % n);
+  }
+
+ private:
+  stats::Rng rng_;
+};
+
+struct Outcome {
+  int values = 0;
+  int rejections = 0;
+};
+
+/// Builds and decodes kIterations mutants through `one_mutant`, checking
+/// the property on each.
+Outcome fuzz(std::string_view target, std::uint64_t seed,
+             const std::function<void(Mutator&)>& one_mutant) {
+  Mutator mutator(seed);
+  Outcome outcome;
+  for (int i = 0; i < kIterations; ++i) {
+    try {
+      one_mutant(mutator);
+      ++outcome.values;
+    } catch (const wire::ProtocolError&) {
+      ++outcome.rejections;
+    } catch (const std::invalid_argument&) {
+      ++outcome.rejections;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << target << " mutant " << i << " threw "
+                    << typeid(e).name() << ": " << e.what();
+    }
+  }
+  return outcome;
+}
+
+wire::ShardTask task_for(std::string_view workload, Bytes blob,
+                         std::uint32_t shard = 0, std::uint32_t shards = 1) {
+  wire::ShardTask task;
+  task.workload = std::string(workload);
+  task.shard_index = shard;
+  task.shard_count = shards;
+  task.blob = std::move(blob);
+  return task;
+}
+
+exec::ShardHandler handler(std::string_view workload) {
+  const exec::ShardHandler found = exec::find_shard_workload(workload);
+  if (found == nullptr) throw std::logic_error("workload not registered");
+  return found;
+}
+
+/// Payloads of every shard of a valid `shards`-way run of `blob`.
+std::vector<Bytes> shard_payloads(std::string_view workload, const Bytes& blob,
+                                  std::uint32_t shards) {
+  std::vector<Bytes> payloads;
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    payloads.push_back(handler(workload)(task_for(workload, blob, s, shards)));
+  }
+  return payloads;
+}
+
+/// The payload set with one member replaced by a mutant of it.
+std::vector<Bytes> with_one_mutant(Mutator& mutator,
+                                   const std::vector<Bytes>& payloads) {
+  std::vector<Bytes> mutated = payloads;
+  Bytes& victim = mutated[mutator.below(mutated.size())];
+  victim = mutator.mutate(victim, payloads, 0);
+  return mutated;
+}
+
+void expect_both_outcomes(std::string_view target, const Outcome& outcome) {
+  // A fuzzer that only ever rejects, or never does, mutates nothing useful.
+  EXPECT_GT(outcome.values, 0) << target;
+  EXPECT_GT(outcome.rejections, 0) << target;
+}
+
+// --- fixtures -------------------------------------------------------------
+
+/// Work-size and seed words at the end of the trial and UQ blobs.
+constexpr std::size_t kFrozenTail = 16;
+
+sim::TabularWorld fuzz_world() {
+  return sim::TabularWorld(core::paper::example_model(),
+                           core::paper::trial_profile());
+}
+
+constexpr std::uint64_t kTrialCases = 300;
+constexpr std::uint64_t kUqDraws = 600;  // two 512-draw chunks
+
+core::PosteriorModelSampler fuzz_sampler() {
+  core::ClassCounts easy;
+  easy.cases = 80;
+  easy.machine_failures = 6;
+  easy.human_failures_given_machine_failed = 3;
+  easy.human_failures_given_machine_succeeded = 4;
+  core::ClassCounts difficult;
+  difficult.cases = 20;
+  difficult.machine_failures = 8;
+  difficult.human_failures_given_machine_failed = 7;
+  difficult.human_failures_given_machine_succeeded = 3;
+  return core::PosteriorModelSampler({"easy", "difficult"},
+                                     {easy, difficult});
+}
+
+core::DemandProfile fuzz_profile() {
+  return core::DemandProfile({"easy", "difficult"}, {0.8, 0.2});
+}
+
+core::TradeoffAnalyzer fuzz_analyzer() {
+  core::BinormalMachine machine;
+  machine.cancer_class_means = {2.0, 0.8};
+  machine.normal_class_means = {-2.0, -0.5};
+  return core::TradeoffAnalyzer(
+      std::move(machine),
+      core::DemandProfile({"easy", "difficult"}, {0.9, 0.1}),
+      {{0.14, 0.18}, {0.4, 0.9}},
+      core::DemandProfile({"typical", "complex"}, {0.85, 0.15}),
+      {{0.10, 0.02}, {0.35, 0.12}}, 0.01);
+}
+
+std::vector<double> fuzz_thresholds() {
+  std::vector<double> thresholds(64);
+  for (std::size_t i = 0; i < thresholds.size(); ++i) {
+    thresholds[i] = -4.0 + 8.0 * static_cast<double>(i) / 63.0;
+  }
+  return thresholds;
+}
+
+// --- blob handlers ------------------------------------------------------
+
+TEST(WireFuzz, TrialHandlerYieldsValueOrProtocolError) {
+  const sim::TabularWorld world = fuzz_world();
+  const std::vector<Bytes> seeds{
+      sim::encode_trial_blob(world, kTrialCases, 11),
+      sim::encode_trial_blob(world, 1, 12)};
+  const auto run = handler(sim::kTrialShardWorkload);
+  expect_both_outcomes(
+      "sim.trial", fuzz("sim.trial", 0x7121A1, [&](Mutator& m) {
+        const Bytes& seed = seeds[m.below(seeds.size())];
+        static_cast<void>(run(task_for(sim::kTrialShardWorkload,
+                                       m.mutate(seed, seeds, kFrozenTail))));
+      }));
+}
+
+TEST(WireFuzz, SweepHandlerYieldsValueOrProtocolError) {
+  const core::TradeoffAnalyzer analyzer = fuzz_analyzer();
+  const std::vector<double> thresholds = fuzz_thresholds();
+  const std::vector<Bytes> seeds{
+      core::encode_sweep_blob(analyzer, thresholds),
+      core::encode_sweep_blob(analyzer,
+                              std::span(thresholds).first(3))};
+  const auto run = handler(core::kSweepShardWorkload);
+  expect_both_outcomes(
+      "core.sweep", fuzz("core.sweep", 0x5EE9, [&](Mutator& m) {
+        const Bytes& seed = seeds[m.below(seeds.size())];
+        static_cast<void>(run(task_for(core::kSweepShardWorkload,
+                                       m.mutate(seed, seeds, 0), 1, 3)));
+      }));
+}
+
+TEST(WireFuzz, UqHandlerYieldsValueOrProtocolError) {
+  const std::vector<Bytes> seeds{
+      core::encode_uq_blob(fuzz_sampler(), fuzz_profile(), kUqDraws, 21),
+      core::encode_uq_blob(fuzz_sampler(), fuzz_profile(), 1, 22)};
+  const auto run = handler(core::kUncertaintyShardWorkload);
+  expect_both_outcomes(
+      "core.uq.sample", fuzz("core.uq.sample", 0x0C0A, [&](Mutator& m) {
+        const Bytes& seed = seeds[m.below(seeds.size())];
+        static_cast<void>(run(task_for(core::kUncertaintyShardWorkload,
+                                       m.mutate(seed, seeds, kFrozenTail))));
+      }));
+}
+
+// --- merges ---------------------------------------------------------------
+
+TEST(WireFuzz, TrialMergeYieldsValueOrProtocolError) {
+  const sim::TabularWorld world = fuzz_world();
+  const std::vector<Bytes> payloads =
+      shard_payloads(sim::kTrialShardWorkload,
+                     sim::encode_trial_blob(world, kTrialCases, 31), 3);
+  expect_both_outcomes(
+      "sim.trial merge", fuzz("sim.trial merge", 0x3E76E, [&](Mutator& m) {
+        static_cast<void>(sim::merge_trial_payloads(
+            world, kTrialCases, with_one_mutant(m, payloads)));
+      }));
+}
+
+TEST(WireFuzz, SweepMergeYieldsValueOrProtocolError) {
+  const core::TradeoffAnalyzer analyzer = fuzz_analyzer();
+  const std::vector<double> thresholds = fuzz_thresholds();
+  const std::vector<Bytes> payloads =
+      shard_payloads(core::kSweepShardWorkload,
+                     core::encode_sweep_blob(analyzer, thresholds), 3);
+  expect_both_outcomes(
+      "core.sweep merge", fuzz("core.sweep merge", 0x5EE93, [&](Mutator& m) {
+        static_cast<void>(core::merge_sweep_payloads(
+            analyzer, thresholds, with_one_mutant(m, payloads)));
+      }));
+}
+
+TEST(WireFuzz, UqMergeYieldsValueOrProtocolError) {
+  const std::vector<Bytes> payloads = shard_payloads(
+      core::kUncertaintyShardWorkload,
+      core::encode_uq_blob(fuzz_sampler(), fuzz_profile(), kUqDraws, 41), 2);
+  std::vector<double> out(kUqDraws);
+  expect_both_outcomes(
+      "core.uq.sample merge",
+      fuzz("core.uq.sample merge", 0x0C0A3, [&](Mutator& m) {
+        core::merge_uq_payloads(with_one_mutant(m, payloads), out);
+      }));
+}
+
+}  // namespace
+}  // namespace hmdiv
