@@ -1,7 +1,7 @@
 // cluster_pipeline — latency-hiding bench for the pipelined cluster
 // scheduler (DESIGN.md §16, PR 10).
 //
-// The PR 9 scaling bench (cluster_load) measures fan-out on a zero-RTT
+// perfbench's fanout_grid workload measures fan-out on a zero-RTT
 // loopback, where a lockstep request/reply loop looks fine because the
 // network round trip is ~free. This bench makes the round trip *expensive*
 // on purpose — every worker runs with HMDIV_SHARD_FAULT="delay:*:<ms>",
@@ -165,7 +165,8 @@ struct CellResult {
 int main(int argc, char** argv) {
   constexpr unsigned kWorkers = 4;
   // Small enough that serialization overhead doesn't drown the injected
-  // RTT (the quantity under test); cluster_load covers compute scaling.
+  // RTT (the quantity under test); perfbench's fanout_grid covers
+  // compute scaling.
   std::size_t grid_steps = 10'000;
   unsigned delay_ms = 2;
   std::string out_path = "BENCH_pr10_cluster_pipeline.json";

@@ -376,9 +376,9 @@ BENCHMARK(BM_UncertaintyScaling)
     ->Unit(benchmark::kMillisecond);
 
 // Scalar per-draw reference path (predict_reference) vs the batched
-// engine above: BM_UncertaintyScaling/1 ÷ BM_UncertaintyScalarReference/1
-// is the PR 5 speedup figure recorded in BENCH_pr5_uq_engine.json. Both
-// run the identical 20k-draw posterior-predictive workload.
+// engine above: the time of BM_UncertaintyScalarReference/1 ÷ that of
+// BM_UncertaintyScaling/1 is the batched engine's single-thread speedup.
+// Both run the identical 20k-draw posterior-predictive workload.
 void BM_UncertaintyScalarReference(benchmark::State& state) {
   const exec::Config config{static_cast<unsigned>(state.range(0))};
   const core::PosteriorModelSampler sampler(

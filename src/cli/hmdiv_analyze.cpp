@@ -71,13 +71,13 @@ using namespace hmdiv;
          "computations (default: all hardware threads, or HMDIV_THREADS).\n"
          "Results are identical for any thread count.\n"
          "--shards N fans the profiling workload out over N worker\n"
-         "processes of --threads threads each (default: 1, or\n"
-         "HMDIV_SHARDS). Results are bit-identical for any shard count.\n"
+         "processes of --threads threads each (default: 1, in-process).\n"
+         "Results are bit-identical for any shard count.\n"
          "--workers HOST:PORT,... fans the profiling workload out over\n"
          "remote hmdiv_serve daemons via their shard endpoint instead of\n"
-         "local worker processes; composes with --shards (shard count)\n"
-         "and --threads (per-task budget on each worker). Results remain\n"
-         "bit-identical to the in-process run.\n"
+         "local worker processes; composes with --shards (shard count,\n"
+         "default: adaptive) and --threads (per-task budget on each\n"
+         "worker). Results remain bit-identical to the in-process run.\n"
          "--window N keeps up to N tasks in flight per worker connection\n"
          "(pipelining depth, default 4, range [1, 64]); 1 restores strict\n"
          "request/reply lockstep. Output is identical at any depth.\n"
@@ -145,8 +145,8 @@ Improvement parse_improvement(const std::string& spec) {
 /// numbers are identical at any thread count, so the thread floor is
 /// raised to 2 to keep the pool paths observable on single-core hosts.
 /// The trial, posterior, sweep and minimisation phases route through the
-/// shard engine: with --shards N (or HMDIV_SHARDS) they fan out over N
-/// worker processes; at 1 shard they run in-process, bit-identically.
+/// shard engine: with --shards N they fan out over N worker processes;
+/// at 1 shard (the default) they run in-process, bit-identically.
 /// With --workers they fan out over remote hmdiv_serve daemons instead,
 /// through one warm ClusterRunner connection pool shared by all four
 /// phases (DESIGN.md §15) — same partition, same merge, same bits.
@@ -154,16 +154,19 @@ void run_profiling_workload(const core::SequentialModel& model,
                             const core::DemandProfile& trial,
                             const core::DemandProfile& field, bool markdown,
                             std::size_t grid_steps, std::size_t samples,
+                            unsigned shards,
                             const std::vector<std::string>& workers,
                             unsigned window) {
   exec::Config config = exec::default_config();
   if (config.resolved_threads() < 2) config = exec::Config{2};
   exec::ShardOptions sopts;
+  sopts.shards = shards;  // 0 (not given) runs one in-process shard
   sopts.threads = config.threads;
   std::optional<exec::ClusterRunner> cluster;
   if (!workers.empty()) {
     exec::ClusterOptions copts;
     copts.workers = workers;
+    copts.shards = shards;  // 0 (not given) picks adaptive micro-shards
     copts.threads = config.threads;
     copts.window = window;
     cluster.emplace(std::move(copts));
@@ -299,6 +302,7 @@ int main(int argc, char** argv) {
   bool profile = false;
   std::size_t grid_steps = 20'000;
   std::size_t samples = 500;
+  unsigned shards = 0;
   std::vector<std::string> workers;
   unsigned window = 4;
   std::optional<std::string> profile_csv_path;
@@ -332,9 +336,8 @@ int main(int argc, char** argv) {
           static_cast<unsigned>(cli::parse_bounded_ulong(
               "hmdiv_analyze", "--threads", next(), 1, 4096))});
     } else if (arg == "--shards") {
-      exec::set_default_shard_count(
-          static_cast<unsigned>(cli::parse_bounded_ulong(
-              "hmdiv_analyze", "--shards", next(), 1, exec::kMaxShards)));
+      shards = static_cast<unsigned>(cli::parse_bounded_ulong(
+          "hmdiv_analyze", "--shards", next(), 1, exec::kMaxShards));
     } else if (arg == "--workers") {
       // Comma-separated worker list; every element must parse as
       // HOST:PORT (or [IPV6]:PORT) and name a connectable port — port 0
@@ -422,7 +425,7 @@ int main(int argc, char** argv) {
 
     if (profile) {
       run_profiling_workload(model, trial, field, options.markdown,
-                             grid_steps, samples, workers, window);
+                             grid_steps, samples, shards, workers, window);
       const obs::Snapshot snapshot = obs::registry_snapshot();
       std::cout << (options.markdown ? "## Profile (obs registry)\n\n"
                                      : "== Profile (obs registry) ==\n\n")

@@ -156,46 +156,6 @@ const exec::ShardWorkloadRegistration kSweepRegistration{
 const exec::ShardWorkloadRegistration kMinimiseRegistration{
     kMinimiseShardWorkload, &handle_minimise_shard};
 
-std::vector<std::uint8_t> encode_minimise_blob(const TradeoffAnalyzer& analyzer,
-                                               double cost_fn, double cost_fp,
-                                               double lo, double hi,
-                                               std::size_t steps) {
-  Writer blob;
-  encode_analyzer(blob, analyzer);
-  blob.f64(cost_fn);
-  blob.f64(cost_fp);
-  blob.f64(lo);
-  blob.f64(hi);
-  blob.u64(steps);
-  return blob.take();
-}
-
-SystemOperatingPoint merge_minimise_payloads(
-    const TradeoffAnalyzer& analyzer,
-    const std::vector<std::vector<std::uint8_t>>& payloads) {
-  // Ascending shard order = ascending grid order, so the strict-< fold
-  // resolves exact cost ties to the earliest grid point — the same rule
-  // minimise_cost applies across its chunks.
-  CostedOperatingPoint best;
-  for (const auto& payload : payloads) {
-    Reader r(payload);
-    CostedOperatingPoint next;
-    next.valid = r.u8() != 0;
-    next.cost = r.f64();
-    next.point.threshold = r.f64();
-    for (const auto field : kMeasured) next.point.*field = r.f64();
-    if (!r.exhausted()) {
-      throw exec::wire::ProtocolError(
-          "core.minimise result: trailing bytes");
-    }
-    if (!best.valid || (next.valid && next.cost < best.cost)) {
-      best = next;
-    }
-  }
-  if (best.valid) derive_system_rates(best.point, analyzer.prevalence());
-  return best.point;
-}
-
 }  // namespace
 
 // --- Transport-independent blob builder and merge -------------------------
@@ -246,6 +206,46 @@ std::vector<SystemOperatingPoint> merge_sweep_payloads(
     derive_system_rates(points[i], analyzer.prevalence());
   }
   return points;
+}
+
+std::vector<std::uint8_t> encode_minimise_blob(const TradeoffAnalyzer& analyzer,
+                                               double cost_fn, double cost_fp,
+                                               double lo, double hi,
+                                               std::size_t steps) {
+  Writer blob;
+  encode_analyzer(blob, analyzer);
+  blob.f64(cost_fn);
+  blob.f64(cost_fp);
+  blob.f64(lo);
+  blob.f64(hi);
+  blob.u64(steps);
+  return blob.take();
+}
+
+SystemOperatingPoint merge_minimise_payloads(
+    const TradeoffAnalyzer& analyzer,
+    const std::vector<std::vector<std::uint8_t>>& payloads) {
+  // Ascending shard order = ascending grid order, so the strict-< fold
+  // resolves exact cost ties to the earliest grid point — the same rule
+  // minimise_cost applies across its chunks.
+  CostedOperatingPoint best;
+  for (const auto& payload : payloads) {
+    Reader r(payload);
+    CostedOperatingPoint next;
+    next.valid = r.u8() != 0;
+    next.cost = r.f64();
+    next.point.threshold = r.f64();
+    for (const auto field : kMeasured) next.point.*field = r.f64();
+    if (!r.exhausted()) {
+      throw exec::wire::ProtocolError(
+          "core.minimise result: trailing bytes");
+    }
+    if (!best.valid || (next.valid && next.cost < best.cost)) {
+      best = next;
+    }
+  }
+  if (best.valid) derive_system_rates(best.point, analyzer.prevalence());
+  return best.point;
 }
 
 std::vector<SystemOperatingPoint> sweep_sharded(

@@ -81,6 +81,19 @@ inline constexpr std::string_view kMinimiseShardWorkload = "core.minimise";
     const TradeoffAnalyzer& analyzer, std::span<const double> thresholds,
     const std::vector<std::vector<std::uint8_t>>& payloads);
 
+/// The "core.minimise" task blob: the analyzer, the two costs, the grid
+/// bounds and its step count.
+[[nodiscard]] std::vector<std::uint8_t> encode_minimise_blob(
+    const TradeoffAnalyzer& analyzer, double cost_fn, double cost_fp,
+    double lo, double hi, std::size_t steps);
+
+/// Ascending-shard fold of "core.minimise" result payloads with the
+/// earliest-grid-point tie rule, shared by the sharded and clustered
+/// paths. Throws exec::wire::ProtocolError on a malformed payload.
+[[nodiscard]] SystemOperatingPoint merge_minimise_payloads(
+    const TradeoffAnalyzer& analyzer,
+    const std::vector<std::vector<std::uint8_t>>& payloads);
+
 /// No-op anchor: calling it from an executable forces this translation
 /// unit (and its static ShardWorkloadRegistrations) to link in, so daemons
 /// built against the static libraries can serve "core.sweep" and

@@ -186,14 +186,10 @@ ClusterRunner::~ClusterRunner() {
 }
 
 unsigned ClusterRunner::resolved_shards() const noexcept {
-  unsigned shards = options_.shards;
-  if (shards == 0) {
-    const unsigned configured = default_shard_count();
-    shards = configured > 1 ? configured
-                            : static_cast<unsigned>(conns_.size());
-  }
-  if (shards == 0) shards = 1;
-  return shards > kMaxShards ? kMaxShards : shards;
+  const unsigned shards = options_.shards != 0
+                             ? options_.shards
+                             : static_cast<unsigned>(conns_.size());
+  return std::clamp(shards, 1u, kMaxShards);
 }
 
 std::vector<ClusterWorkerStats> ClusterRunner::worker_stats() const {
@@ -210,7 +206,7 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
     throw ClusterError("cluster: no workers configured");
   }
   unsigned shards = resolved_shards();
-  if (options_.shards == 0 && default_shard_count() <= 1 && items_hint > 0) {
+  if (options_.shards == 0 && items_hint > 0) {
     // Adaptive micro-shard count: enough small tasks that every worker's
     // window refills several times (so the EWMA sizing has room to act),
     // bounded by the workload's item count and the protocol ceiling.

@@ -5,7 +5,7 @@
 // (exec/parallel.hpp) → processes (exec/shard.hpp) → hosts, and its
 // dispatch loop is the one scheduler both fan-outs run on: ShardRunner
 // hands it local worker processes over socketpairs. It fans the
-// same substream-partitioned shard tasks the fork/exec engine runs —
+// same substream-partitioned shard tasks the local process shards run —
 // sim.trial batch ranges, core.sweep / core.minimise grid subspans,
 // core.uq.sample draw chunks — across remote `hmdiv_serve` workers over
 // TCP, reusing the HMDF frame format and the wire::shard_range partition
@@ -54,11 +54,10 @@ namespace hmdiv::exec {
 struct ClusterOptions {
   /// Worker endpoints ("host:port" or "[v6]:port"), e.g. from --workers.
   std::vector<std::string> workers;
-  /// Shards to partition each run into; 0 resolves to the --shards /
-  /// HMDIV_SHARDS default when that is set (> 1), else the run picks an
-  /// adaptive micro-shard count from the workload's item hint (many small
-  /// tasks per worker — see ClusterRunner::run), falling back to one
-  /// shard per worker. More shards than workers is fine (tasks queue).
+  /// Shards to partition each run into; 0 lets the run pick an adaptive
+  /// micro-shard count from the workload's item hint (many small tasks
+  /// per worker — see ClusterRunner::run), falling back to one shard per
+  /// worker. More shards than workers is fine (tasks queue).
   unsigned shards = 0;
   /// Thread budget per task on the worker; 0 means this process's default
   /// thread count (mirrors ShardOptions::threads).

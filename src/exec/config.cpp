@@ -6,8 +6,6 @@
 #include <string>
 #include <thread>
 
-#include "exec/shard.hpp"
-
 namespace hmdiv::exec {
 
 namespace {
@@ -41,7 +39,6 @@ namespace detail {
 
 void reset_env_warning() noexcept {
   g_env_warned.store(false, std::memory_order_relaxed);
-  reset_shard_env_warning();  // one hook re-arms both env warnings
 }
 
 }  // namespace detail

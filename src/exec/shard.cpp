@@ -9,10 +9,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -33,21 +31,6 @@ namespace hmdiv::exec {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// --- HMDIV_SHARDS ---------------------------------------------------------
-
-constexpr unsigned kUnresolvedShards = ~0U;
-
-std::atomic<unsigned> g_default_shards{kUnresolvedShards};
-std::atomic<bool> g_shard_env_warned{false};
-
-void warn_bad_shard_env(const char* raw) noexcept {
-  if (g_shard_env_warned.exchange(true, std::memory_order_relaxed)) return;
-  std::fprintf(stderr,
-               "hmdiv: ignoring malformed HMDIV_SHARDS='%s' (expected an "
-               "integer in [1, %u]); running unsharded\n",
-               raw, kMaxShards);
-}
 
 // --- Workload registry ----------------------------------------------------
 
@@ -144,48 +127,6 @@ ShardHandler find_shard_workload(std::string_view name) {
   const std::lock_guard<std::mutex> lock(registry_mutex());
   const auto it = handler_registry().find(name);
   return it == handler_registry().end() ? nullptr : it->second;
-}
-
-namespace detail {
-
-void reset_shard_env_warning() noexcept {
-  g_shard_env_warned.store(false, std::memory_order_relaxed);
-}
-
-}  // namespace detail
-
-unsigned shard_count_from_env() noexcept {
-  const char* raw = std::getenv("HMDIV_SHARDS");
-  if (raw == nullptr || *raw == '\0') return 1;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long value = std::strtoul(raw, &end, 10);
-  if (end == raw || *end != '\0' || errno == ERANGE || value == 0 ||
-      value > kMaxShards) {
-    // Same rationale as HMDIV_THREADS: a silent fallback would hide a
-    // deployment typo (HMDIV_SHARDS=8x quietly running unsharded).
-    warn_bad_shard_env(raw);
-    return 1;
-  }
-  return static_cast<unsigned>(value);
-}
-
-unsigned default_shard_count() noexcept {
-  unsigned shards = g_default_shards.load(std::memory_order_relaxed);
-  if (shards == kUnresolvedShards) {
-    shards = shard_count_from_env();
-    unsigned expected = kUnresolvedShards;
-    if (!g_default_shards.compare_exchange_strong(
-            expected, shards, std::memory_order_relaxed)) {
-      shards = expected;
-    }
-  }
-  return shards == 0 ? 1 : shards;
-}
-
-void set_default_shard_count(unsigned shards) noexcept {
-  g_default_shards.store(shards == 0 ? 1 : shards,
-                         std::memory_order_relaxed);
 }
 
 std::string_view to_string(ShardFailure::Kind kind) noexcept {
@@ -437,10 +378,7 @@ ShardFailure diagnose(const Child& child, std::uint32_t shard,
 ShardRunner::ShardRunner(ShardOptions options) : options_(std::move(options)) {}
 
 unsigned ShardRunner::resolved_shards() const noexcept {
-  unsigned shards =
-      options_.shards == 0 ? default_shard_count() : options_.shards;
-  if (shards == 0) shards = 1;
-  return shards > kMaxShards ? kMaxShards : shards;
+  return std::clamp(options_.shards, 1u, kMaxShards);
 }
 
 std::vector<std::vector<std::uint8_t>> ShardRunner::run(

@@ -47,9 +47,9 @@ namespace hmdiv::exec {
 
 /// Process-level fan-out policy for one sharded run.
 struct ShardOptions {
-  /// Worker processes to spawn; 0 means default_shard_count() (the
-  /// HMDIV_SHARDS environment default, itself defaulting to 1).
-  unsigned shards = 0;
+  /// Worker processes to spawn, clamped to [1, kMaxShards]; 1 runs the
+  /// workload in-process without spawning.
+  unsigned shards = 1;
   /// Thread budget *per worker* (the processes × threads composition);
   /// 0 means each worker uses all hardware threads.
   unsigned threads = 0;
@@ -101,25 +101,6 @@ class ShardError : public std::runtime_error {
  private:
   ShardFailure failure_;
 };
-
-/// Parses HMDIV_SHARDS. Unset or empty yields 1 (no fan-out); a malformed
-/// value (non-numeric, trailing garbage, 0, or > kMaxShards) also yields 1
-/// but prints a one-time warning to stderr naming the bad value — the same
-/// contract as HMDIV_THREADS, re-armed by detail::reset_env_warning().
-[[nodiscard]] unsigned shard_count_from_env() noexcept;
-
-/// Process-wide default worker count used when ShardOptions::shards is 0.
-/// First call resolves it from the environment; the CLI's --shards flag
-/// overrides it with set_default_shard_count().
-[[nodiscard]] unsigned default_shard_count() noexcept;
-void set_default_shard_count(unsigned shards) noexcept;
-
-namespace detail {
-/// Testing hook: re-arms the one-time malformed-HMDIV_SHARDS warning
-/// (config.cpp's reset_env_warning() calls this too, so one hook re-arms
-/// both environment warnings).
-void reset_shard_env_warning() noexcept;
-}  // namespace detail
 
 /// A worker-side workload implementation: rebuilds the workload from
 /// task.blob, computes the slice given by wire::shard_range(task) over its
@@ -204,8 +185,8 @@ class ShardRunner {
  public:
   explicit ShardRunner(ShardOptions options = {});
 
-  /// Worker count this runner will spawn (options.shards resolved against
-  /// the process default, clamped to [1, kMaxShards]).
+  /// Worker count this runner will spawn (options.shards clamped to
+  /// [1, kMaxShards]).
   [[nodiscard]] unsigned resolved_shards() const noexcept;
 
   /// Runs `workload` across resolved_shards() worker processes, handing

@@ -25,6 +25,7 @@
 #include <csignal>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cerrno>
 #include <chrono>
@@ -153,6 +154,15 @@ class SpawnedDaemon {
   pid_t pid_ = -1;
   int port_ = 0;
 };
+
+/// Fleet sizes the identity tests cover: the first n of four daemons.
+constexpr unsigned kFleetSizes[] = {1, 2, 4};
+
+std::vector<std::string> addresses_of(std::span<const SpawnedDaemon> daemons) {
+  std::vector<std::string> out;
+  for (const SpawnedDaemon& daemon : daemons) out.push_back(daemon.address());
+  return out;
+}
 
 exec::ClusterOptions cluster_options(std::vector<std::string> workers,
                                      unsigned shards) {
@@ -597,36 +607,44 @@ TEST(ClusterRunnerTest, TrialIsBitIdenticalAcrossWorkersAndShards) {
 
 TEST(ClusterRunnerTest, SweepAndMinimiseAreBitIdentical) {
   HMDIV_REQUIRE_DAEMONS();
-  SpawnedDaemon a;
-  SpawnedDaemon b;
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
+  const std::array<SpawnedDaemon, 4> daemons;
+  for (const SpawnedDaemon& daemon : daemons) ASSERT_TRUE(daemon.ok());
   const core::TradeoffAnalyzer analyzer = reference_analyzer();
   const std::vector<double> thresholds = reference_thresholds(513);
   const auto reference = analyzer.sweep(thresholds, exec::Config{2});
   const auto best_reference =
       analyzer.minimise_cost(500.0, 20.0, -4.0, 4.0, 999, exec::Config{2});
 
-  exec::ClusterRunner cluster(
-      cluster_options({a.address(), b.address()}, /*shards=*/3));
-  test::expect_points_bit_identical(
-      core::sweep_clustered(analyzer, thresholds, cluster), reference);
-  test::expect_point_bit_identical(
-      core::minimise_cost_clustered(analyzer, 500.0, 20.0, -4.0, 4.0, 999,
-                                    cluster),
-      best_reference);
+  // A fixed shard count, and one shard per worker.
+  for (const unsigned workers : kFleetSizes) {
+    for (const unsigned shards : {3u, workers}) {
+      SCOPED_TRACE(testing::Message()
+                   << workers << " workers, " << shards << " shards");
+      exec::ClusterRunner cluster(
+          cluster_options(addresses_of(std::span(daemons).first(workers)),
+                          shards));
+      test::expect_points_bit_identical(
+          core::sweep_clustered(analyzer, thresholds, cluster), reference);
+      test::expect_point_bit_identical(
+          core::minimise_cost_clustered(analyzer, 500.0, 20.0, -4.0, 4.0,
+                                        999, cluster),
+          best_reference);
 
-  // Flat plateau: the earliest-grid-point tie rule must survive the
-  // network transport too.
-  const auto tie =
-      core::minimise_cost_clustered(analyzer, 0.0, 0.0, -4.0, 4.0, 999,
-                                    cluster);
-  EXPECT_EQ(tie.threshold, -4.0);
+      // Flat plateau: the earliest-grid-point tie rule must survive the
+      // network transport too.
+      const auto tie = core::minimise_cost_clustered(
+          analyzer, 0.0, 0.0, -4.0, 4.0, 999, cluster);
+      EXPECT_EQ(tie.threshold, -4.0);
 
-  // Both runs reused the same warm pool; nothing was retried.
-  for (const auto& stats : cluster.worker_stats()) {
-    EXPECT_EQ(stats.retries, 0u) << stats.address;
-    EXPECT_GT(stats.tasks, 0u) << stats.address;
+      // All three runs reused the same warm pool; nothing was retried, and
+      // each run completed one task per shard.
+      std::uint64_t tasks = 0;
+      for (const auto& stats : cluster.worker_stats()) {
+        EXPECT_EQ(stats.retries, 0u) << stats.address;
+        tasks += stats.tasks;
+      }
+      EXPECT_EQ(tasks, 3u * shards);
+    }
   }
 }
 
@@ -650,10 +668,8 @@ TEST(ClusterRunnerTest, SweepZeroRecallBranchIsBitIdentical) {
 
 TEST(ClusterRunnerTest, PosteriorDrawsAreBitIdenticalAndRngInLockstep) {
   HMDIV_REQUIRE_DAEMONS();
-  SpawnedDaemon a;
-  SpawnedDaemon b;
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
+  const std::array<SpawnedDaemon, 4> daemons;
+  for (const SpawnedDaemon& daemon : daemons) ASSERT_TRUE(daemon.ok());
   const core::PosteriorModelSampler sampler = paper_sampler();
   const core::DemandProfile field = core::paper::field_profile();
   constexpr std::size_t kDraws = 1500;  // 3 chunks of 512, last one ragged
@@ -662,30 +678,40 @@ TEST(ClusterRunnerTest, PosteriorDrawsAreBitIdenticalAndRngInLockstep) {
   stats::Rng reference_rng(42);
   sampler.sample_failure_probabilities(field, reference_rng, reference,
                                        exec::Config{2});
-
-  std::vector<double> clustered(kDraws);
-  stats::Rng clustered_rng(42);
-  exec::ClusterRunner cluster(
-      cluster_options({a.address(), b.address()}, /*shards=*/3));
-  core::sample_failure_probabilities_clustered(sampler, field, clustered_rng,
-                                               clustered, cluster);
-  for (std::size_t i = 0; i < kDraws; ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(clustered[i]),
-              std::bit_cast<std::uint64_t>(reference[i]))
-        << "draw " << i;
-  }
-  // Both paths consume exactly one step of the caller's rng.
-  EXPECT_EQ(reference_rng.next_u64(), clustered_rng.next_u64());
-
-  stats::Rng predict_rng(11);
+  const std::uint64_t reference_next = reference_rng.next_u64();
   stats::Rng predict_reference_rng(11);
-  const auto predicted = core::predict_clustered(sampler, field, predict_rng,
-                                                 1024, 0.95, cluster);
   const auto predicted_reference = sampler.predict(
       field, predict_reference_rng, 1024, 0.95, exec::Config{2});
-  EXPECT_EQ(predicted.mean, predicted_reference.mean);
-  EXPECT_EQ(predicted.lower, predicted_reference.lower);
-  EXPECT_EQ(predicted.upper, predicted_reference.upper);
+
+  // A fixed shard count, and one shard per worker.
+  for (const unsigned workers : kFleetSizes) {
+    for (const unsigned shards : {3u, workers}) {
+      SCOPED_TRACE(testing::Message()
+                   << workers << " workers, " << shards << " shards");
+      exec::ClusterRunner cluster(
+          cluster_options(addresses_of(std::span(daemons).first(workers)),
+                          shards));
+      std::vector<double> clustered(kDraws);
+      stats::Rng clustered_rng(42);
+      core::sample_failure_probabilities_clustered(sampler, field,
+                                                   clustered_rng, clustered,
+                                                   cluster);
+      for (std::size_t i = 0; i < kDraws; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(clustered[i]),
+                  std::bit_cast<std::uint64_t>(reference[i]))
+            << "draw " << i;
+      }
+      // Both paths consume exactly one step of the caller's rng.
+      EXPECT_EQ(clustered_rng.next_u64(), reference_next);
+
+      stats::Rng predict_rng(11);
+      const auto predicted = core::predict_clustered(
+          sampler, field, predict_rng, 1024, 0.95, cluster);
+      EXPECT_EQ(predicted.mean, predicted_reference.mean);
+      EXPECT_EQ(predicted.lower, predicted_reference.lower);
+      EXPECT_EQ(predicted.upper, predicted_reference.upper);
+    }
+  }
 }
 
 TEST(ClusterRunnerTest, UnknownWorkloadAbortsWithClusterError) {

@@ -458,30 +458,6 @@ TEST(ShardProtocol, ShardRangePartitionsExactly) {
   }
 }
 
-// --- Environment default --------------------------------------------------
-
-TEST(ShardEnv, ParsesWellFormedCounts) {
-  EnvGuard guard("HMDIV_SHARDS", "3");
-  exec::detail::reset_shard_env_warning();
-  EXPECT_EQ(exec::shard_count_from_env(), 3U);
-}
-
-TEST(ShardEnv, UnsetMeansNoFanOut) {
-  EnvGuard guard("HMDIV_SHARDS", nullptr);
-  exec::detail::reset_shard_env_warning();
-  EXPECT_EQ(exec::shard_count_from_env(), 1U);
-}
-
-TEST(ShardEnv, MalformedValuesFallBackToOne) {
-  exec::detail::reset_shard_env_warning();
-  for (const char* bad : {"0", "2x", "x", "-1", "257",
-                          "99999999999999999999999"}) {
-    EnvGuard guard("HMDIV_SHARDS", bad);
-    exec::detail::reset_shard_env_warning();
-    EXPECT_EQ(exec::shard_count_from_env(), 1U) << "value: " << bad;
-  }
-}
-
 // --- Runner ---------------------------------------------------------------
 
 TEST(ShardRunnerTest, EchoAcrossWorkersMergesInShardOrder) {

@@ -1,26 +1,31 @@
 // Seeded mutation fuzzing of the fan-out decoders.
 //
-// Targets: the three blob handlers ("sim.trial", "core.sweep",
-// "core.uq.sample") and the trial, sweep and UQ merges. Each target starts
-// from valid inputs built by the production encoders and handlers, then
-// decodes kIterations mutants of them: bit flips, truncations, lying
-// 8-byte length or count fields, and splices of byte ranges between
-// seeds. The property: every mutant yields a value or throws
-// exec::wire::ProtocolError or std::invalid_argument — never another
+// Targets: the four blob handlers ("sim.trial", "core.sweep",
+// "core.minimise", "core.uq.sample"), the trial, sweep, minimise and UQ
+// merges, the obs snapshot parser behind every obs frame, and the frame
+// parser itself fed mutated streams. Each target starts from valid inputs
+// built by the production encoders and handlers, then decodes kIterations
+// mutants of them: bit flips, truncations, lying 8-byte length or count
+// fields, and splices of byte ranges between seeds. The property: every
+// mutant yields a value or throws the decoder's rejection —
+// exec::wire::ProtocolError or std::invalid_argument for the fan-out
+// decoders, std::runtime_error for obs::parse_snapshot — never another
 // exception (bad_alloc, length_error), and under the sanitizer build
 // never an out-of-bounds access or undefined behaviour.
 //
-// The trailing (work size, seed) words of the trial and UQ blobs are not
-// overwritten in place: any value there is a valid request whose cost is
-// its size, which is not a decoder property. Truncations and splices
-// still move them, and the handlers refuse any slice whose reply cannot
-// fit one frame before computing it.
+// The trailing work-size words of the trial, minimise and UQ blobs (and
+// the trial and UQ seeds) are not overwritten in place: any value there
+// is a valid request whose cost is its size, which is not a decoder
+// property. Truncations and splices still move them, and the handlers
+// refuse any slice whose reply cannot fit one frame before computing it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -35,6 +40,7 @@
 #include "core/uncertainty_shard.hpp"
 #include "exec/shard.hpp"
 #include "exec/shard_protocol.hpp"
+#include "obs/obs.hpp"
 #include "sim/tabular_world.hpp"
 #include "sim/trial_shard.hpp"
 #include "stats/rng.hpp"
@@ -134,23 +140,36 @@ struct Outcome {
   int rejections = 0;
 };
 
+/// The fan-out decoders reject malformed bytes with ProtocolError, and
+/// the workload constructors they feed with std::invalid_argument.
+bool wire_rejection(const std::exception& e) {
+  return dynamic_cast<const wire::ProtocolError*>(&e) != nullptr ||
+         dynamic_cast<const std::invalid_argument*>(&e) != nullptr;
+}
+
+/// obs::parse_snapshot rejects malformed bytes with std::runtime_error.
+bool obs_rejection(const std::exception& e) {
+  return dynamic_cast<const std::runtime_error*>(&e) != nullptr;
+}
+
 /// Builds and decodes kIterations mutants through `one_mutant`, checking
-/// the property on each.
+/// the property on each: a value, or an exception `rejection` accepts.
 Outcome fuzz(std::string_view target, std::uint64_t seed,
-             const std::function<void(Mutator&)>& one_mutant) {
+             const std::function<void(Mutator&)>& one_mutant,
+             bool (*rejection)(const std::exception&) = wire_rejection) {
   Mutator mutator(seed);
   Outcome outcome;
   for (int i = 0; i < kIterations; ++i) {
     try {
       one_mutant(mutator);
       ++outcome.values;
-    } catch (const wire::ProtocolError&) {
-      ++outcome.rejections;
-    } catch (const std::invalid_argument&) {
-      ++outcome.rejections;
     } catch (const std::exception& e) {
-      ADD_FAILURE() << target << " mutant " << i << " threw "
-                    << typeid(e).name() << ": " << e.what();
+      if (rejection(e)) {
+        ++outcome.rejections;
+      } else {
+        ADD_FAILURE() << target << " mutant " << i << " threw "
+                      << typeid(e).name() << ": " << e.what();
+      }
     }
   }
   return outcome;
@@ -201,6 +220,8 @@ void expect_both_outcomes(std::string_view target, const Outcome& outcome) {
 
 /// Work-size and seed words at the end of the trial and UQ blobs.
 constexpr std::size_t kFrozenTail = 16;
+/// The step count at the end of the minimise blob.
+constexpr std::size_t kStepsTail = 8;
 
 sim::TabularWorld fuzz_world() {
   return sim::TabularWorld(core::paper::example_model(),
@@ -281,6 +302,21 @@ TEST(WireFuzz, SweepHandlerYieldsValueOrProtocolError) {
       }));
 }
 
+TEST(WireFuzz, MinimiseHandlerYieldsValueOrProtocolError) {
+  const core::TradeoffAnalyzer analyzer = fuzz_analyzer();
+  const std::vector<Bytes> seeds{
+      core::encode_minimise_blob(analyzer, 500.0, 20.0, -4.0, 4.0, 999),
+      core::encode_minimise_blob(analyzer, 0.0, 0.0, -1.0, 1.0, 2)};
+  const auto run = handler(core::kMinimiseShardWorkload);
+  expect_both_outcomes(
+      "core.minimise", fuzz("core.minimise", 0x3141, [&](Mutator& m) {
+        const Bytes& seed = seeds[m.below(seeds.size())];
+        static_cast<void>(run(task_for(core::kMinimiseShardWorkload,
+                                       m.mutate(seed, seeds, kStepsTail), 1,
+                                       3)));
+      }));
+}
+
 TEST(WireFuzz, UqHandlerYieldsValueOrProtocolError) {
   const std::vector<Bytes> seeds{
       core::encode_uq_blob(fuzz_sampler(), fuzz_profile(), kUqDraws, 21),
@@ -321,6 +357,19 @@ TEST(WireFuzz, SweepMergeYieldsValueOrProtocolError) {
       }));
 }
 
+TEST(WireFuzz, MinimiseMergeYieldsValueOrProtocolError) {
+  const core::TradeoffAnalyzer analyzer = fuzz_analyzer();
+  const std::vector<Bytes> payloads = shard_payloads(
+      core::kMinimiseShardWorkload,
+      core::encode_minimise_blob(analyzer, 500.0, 20.0, -4.0, 4.0, 999), 3);
+  expect_both_outcomes(
+      "core.minimise merge",
+      fuzz("core.minimise merge", 0x31413, [&](Mutator& m) {
+        static_cast<void>(core::merge_minimise_payloads(
+            analyzer, with_one_mutant(m, payloads)));
+      }));
+}
+
 TEST(WireFuzz, UqMergeYieldsValueOrProtocolError) {
   const std::vector<Bytes> payloads = shard_payloads(
       core::kUncertaintyShardWorkload,
@@ -330,6 +379,67 @@ TEST(WireFuzz, UqMergeYieldsValueOrProtocolError) {
       "core.uq.sample merge",
       fuzz("core.uq.sample merge", 0x0C0A3, [&](Mutator& m) {
         core::merge_uq_payloads(with_one_mutant(m, payloads), out);
+      }));
+}
+
+// --- obs frames and the frame stream -----------------------------------
+
+TEST(WireFuzz, ObsSnapshotParseYieldsValueOrRuntimeError) {
+  obs::Registry source;
+  source.counter("exec.cluster.tasks").add(12);
+  source.counter("core.tradeoff.grid_points").add(999);
+  obs::Histogram& timer = source.histogram("core.tradeoff.minimise_ns");
+  for (const std::uint64_t ns : {0u, 700u, 41'000u}) timer.record(ns);
+  const std::vector<Bytes> seeds{obs::serialize_snapshot(source.snapshot()),
+                                 obs::serialize_snapshot(obs::Snapshot{})};
+  expect_both_outcomes(
+      "obs snapshot",
+      fuzz(
+          "obs snapshot", 0x0B5,
+          [&](Mutator& m) {
+            const Bytes& seed = seeds[m.below(seeds.size())];
+            // A coordinator folds every parsed delta into its registry.
+            obs::Registry sink;
+            sink.merge(obs::parse_snapshot(m.mutate(seed, seeds, 0)));
+          },
+          obs_rejection));
+}
+
+TEST(WireFuzz, FrameParserYieldsFramesOrProtocolError) {
+  // Magic u32, type u32, payload length u64.
+  constexpr std::size_t kFrameHeader = 16;
+  const sim::TabularWorld world = fuzz_world();
+  Bytes stream;
+  wire::append_frame(stream, wire::FrameType::task,
+                     wire::serialize_task(task_for(
+                         sim::kTrialShardWorkload,
+                         sim::encode_trial_blob(world, 40, 7), 0, 2)));
+  wire::append_frame(stream, wire::FrameType::result, Bytes{1, 2, 3, 4, 5});
+  wire::append_frame(stream, wire::FrameType::obs,
+                     obs::serialize_snapshot(obs::Snapshot{}));
+  wire::append_frame(stream, wire::FrameType::done, wire::serialize_done(0));
+  Bytes failure;
+  wire::append_frame(failure, wire::FrameType::error,
+                     Bytes{'b', 'o', 'o', 'm'});
+  const std::vector<Bytes> seeds{stream, failure};
+  expect_both_outcomes(
+      "frame stream", fuzz("frame stream", 0xF4A3E, [&](Mutator& m) {
+        const Bytes mutant =
+            m.mutate(seeds[m.below(seeds.size())], seeds, 0);
+        wire::FrameParser parser;
+        std::size_t consumed = 0;
+        for (std::size_t at = 0; at < mutant.size();) {
+          const std::size_t chunk =
+              std::min(mutant.size() - at, 1 + m.below(64));
+          parser.feed(std::span(mutant).subspan(at, chunk));
+          at += chunk;
+          while (const std::optional<wire::Frame> frame = parser.next()) {
+            ASSERT_LE(frame->payload.size(), wire::kMaxFramePayload);
+            consumed += kFrameHeader + frame->payload.size();
+          }
+        }
+        // Every byte fed is in a yielded frame or still buffered.
+        ASSERT_EQ(consumed + parser.buffered(), mutant.size());
       }));
 }
 
