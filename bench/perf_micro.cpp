@@ -398,6 +398,30 @@ BENCHMARK(BM_UncertaintyScalarReference)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// Pool sharing without the daemon: two benchmark threads each run the
+// serve `uq` default (2000 draws) at the same time with a thread budget
+// of state.range(0), as two hmdiv_serve connections do. Both submit pool
+// jobs at once; /2 over /1 is what sharing the helpers buys two callers.
+void BM_UncertaintyConcurrentCallers(benchmark::State& state) {
+  const exec::Config config{static_cast<unsigned>(state.range(0))};
+  const core::PosteriorModelSampler sampler(
+      {"easy", "difficult"},
+      {core::ClassCounts{800, 56, 28, 40}, core::ClassCounts{200, 82, 74, 30}});
+  const auto profile = core::paper::field_profile();
+  for (auto _ : state) {
+    stats::Rng rng(3);
+    benchmark::DoNotOptimize(sampler.predict(profile, rng, 2'000, 0.95, config));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          2'000);
+}
+BENCHMARK(BM_UncertaintyConcurrentCallers)
+    ->Arg(1)
+    ->Arg(2)
+    ->Threads(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_TrialScaling(benchmark::State& state) {
   const exec::Config config{static_cast<unsigned>(state.range(0))};
   constexpr std::uint64_t kCases = 200'000;

@@ -63,8 +63,10 @@ using namespace hmdiv;
          "hardware threads); --max-queue N bounds the admission queue\n"
          "beyond which requests are shed with a structured error\n"
          "(default 64). --max-conns N caps open connections (default 64).\n"
-         "--threads N is the per-request compute thread budget (default\n"
-         "1; requests are already parallel across connections).\n"
+         "--threads N is the per-request compute thread budget for uq,\n"
+         "sweep and minimise (default: HMDIV_THREADS, else hardware\n"
+         "threads; 1 = serial). Concurrent requests share one pool of\n"
+         "helper threads.\n"
          "--deadline-ms N is the default per-request deadline (default\n"
          "1000).\n"
          "--whatif-cache/--sweep-cache N size the shared result caches\n"

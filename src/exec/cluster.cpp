@@ -132,6 +132,9 @@ struct ClusterRunner::Conn {
   bool readmit_armed = false;
   bool probing = false;  ///< the in-progress connect is the re-probe
   bool readmitted_this_run = false;
+  /// Last sidelined this run before its connection was ready (refused,
+  /// timed out or rejected the upgrade), not mid-run.
+  bool connect_failed = false;
   Clock::time_point readmit_at{};
 
   ClusterWorkerStats stats;
@@ -289,6 +292,7 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::dispatch(
     conn.readmit_armed = false;
     conn.probing = false;
     conn.readmitted_this_run = false;
+    conn.connect_failed = false;
     conn.dispatched_micro = 0;
     conn.stats.inflight = 0;
   }
@@ -299,6 +303,7 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::dispatch(
   // the backoff.
   const auto sideline = [&](Conn& conn, const std::string& why) {
     conn.stats.last_error = why;
+    conn.connect_failed = conn.state != Conn::State::ready;
     last_failure = conn.stats.address + ": " + why;
     if (!conn.inflight.empty()) {
       conn.stats.retries += conn.inflight.size();
@@ -705,9 +710,18 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::dispatch(
       owner.push_back(i);
     }
     if (fds.empty()) {
-      if (readmit_pending) {
-        // Every worker is sidelined but a re-probe is scheduled: sleep
-        // out the shortest backoff instead of giving up.
+      // Every worker is sidelined. If none got as far as a ready
+      // connection (a malformed address never can) and nothing has
+      // completed, the fleet is down: fail now rather than sleep out the
+      // backoff for a re-probe.
+      const bool fleet_refused =
+          completed == 0 &&
+          std::all_of(conns_.begin(), conns_.end(), [](const Conn& c) {
+            return c.connect_failed || c.host.empty();
+          });
+      if (readmit_pending && !fleet_refused) {
+        // A worker failed mid-run and a re-probe is scheduled: sleep out
+        // the shortest backoff instead of giving up.
         if (timeout > 0) ::poll(nullptr, 0, timeout);
         continue;
       }

@@ -8,7 +8,9 @@ namespace hmdiv::exec {
 
 namespace {
 
-thread_local bool tl_on_worker_thread = false;
+/// True while this thread runs indices of a pooled job, as its caller or
+/// as a helper; nested run_indexed calls then run inline.
+thread_local bool tl_in_job = false;
 
 #if HMDIV_OBS
 /// Nanoseconds between two steady_clock points, clamped to >= 0.
@@ -39,8 +41,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-bool ThreadPool::on_worker_thread() noexcept { return tl_on_worker_thread; }
-
 ThreadPool& ThreadPool::global() {
   // Floor of 3 helpers so that multi-thread code paths (and TSan runs) are
   // genuinely concurrent even on small machines; idle helpers cost nothing,
@@ -69,15 +69,41 @@ void ThreadPool::execute(Job& job) {
   }
 }
 
+ThreadPool::Job* ThreadPool::claim_slot() {
+  for (Job* job = oldest_; job != nullptr; job = job->newer) {
+    if (job->slots > 0 &&
+        job->next.load(std::memory_order_relaxed) < job->count) {
+      --job->slots;
+      ++job->active_helpers;
+      return job;
+    }
+  }
+  return nullptr;
+}
+
+void ThreadPool::link(Job& job) {
+  job.older = newest_;
+  (newest_ != nullptr ? newest_->newer : oldest_) = &job;
+  newest_ = &job;
+}
+
+void ThreadPool::unlink(Job& job) {
+  (job.older != nullptr ? job.older->newer : oldest_) = job.newer;
+  (job.newer != nullptr ? job.newer->older : newest_) = job.older;
+  job.older = job.newer = nullptr;
+}
+
 void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    work_ready_.wait(lock,
-                     [this] { return stopping_ || job_slots_ > 0; });
-    if (stopping_) return;
-    Job& job = *job_;
-    --job_slots_;
-    ++job.active_helpers;
+    Job* claimed = nullptr;
+    ++idle_;
+    work_ready_.wait(lock, [&] {
+      return (claimed = claim_slot()) != nullptr || stopping_;
+    });
+    --idle_;
+    if (claimed == nullptr) return;  // stopping_
+    Job& job = *claimed;
     lock.unlock();
 
 #if HMDIV_OBS
@@ -90,9 +116,9 @@ void ThreadPool::worker_loop() {
       queue_wait.record(elapsed_ns(job.submitted, picked_up));
     }
 #endif
-    tl_on_worker_thread = true;
+    tl_in_job = true;
     execute(job);
-    tl_on_worker_thread = false;
+    tl_in_job = false;
 #if HMDIV_OBS
     if (timed) {
       static obs::Histogram& busy =
@@ -102,7 +128,9 @@ void ThreadPool::worker_loop() {
 #endif
 
     lock.lock();
-    if (--job.active_helpers == 0) job_done_.notify_all();
+    // Notify under the mutex: once the caller sees zero it may return and
+    // destroy the job, condition variable included.
+    if (--job.active_helpers == 0) job.helpers_done.notify_one();
   }
 }
 
@@ -113,20 +141,11 @@ void ThreadPool::run_indexed(std::size_t count, unsigned max_threads,
       {max_threads == 0 ? 1U : max_threads, helper_count() + 1U,
        static_cast<unsigned>(std::min<std::size_t>(count, ~0U))});
 
-  auto run_inline = [&] {
+  // Serial budget or a call nested inside a running job: inline.
+  if (budget <= 1 || tl_in_job) {
     HMDIV_OBS_COUNT("exec.pool.inline_jobs", 1);
     HMDIV_OBS_COUNT("exec.pool.tasks", count);
     for (std::size_t i = 0; i < count; ++i) fn(i);
-  };
-
-  // Serial budget, re-entrant call, or pool busy with another job: inline.
-  if (budget <= 1 || tl_on_worker_thread) {
-    run_inline();
-    return;
-  }
-  std::unique_lock<std::mutex> submit(submit_mutex_, std::try_to_lock);
-  if (!submit.owns_lock()) {
-    run_inline();
     return;
   }
 
@@ -139,33 +158,47 @@ void ThreadPool::run_indexed(std::size_t count, unsigned max_threads,
     job.submitted = std::chrono::steady_clock::now();
   }
 #endif
+  unsigned wake = 0;
+  unsigned idle = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    job_ = &job;
-    job_slots_ = budget - 1;
+    job.slots = budget - 1;
+    link(job);
+    idle = idle_;
+    wake = std::min(job.slots, idle);
   }
-  work_ready_.notify_all();
+  // Busy helpers look for open jobs before they sleep, so waking more
+  // than the idle ones would only cost futex calls. Waking all of them
+  // takes one call.
+  if (wake > 0 && wake == idle) {
+    work_ready_.notify_all();
+  } else {
+    for (unsigned i = 0; i < wake; ++i) work_ready_.notify_one();
+  }
 
+  // The caller is one of the job's threads; with every helper busy it
+  // runs all of the indices itself.
+  tl_in_job = true;
 #if HMDIV_OBS
   if (job.timed) {
     static obs::Histogram& caller_busy =
         obs::Registry::global().histogram("exec.pool.caller_busy_ns");
     const auto started = std::chrono::steady_clock::now();
-    execute(job);  // The caller is one of the job's threads.
+    execute(job);
     caller_busy.record(
         elapsed_ns(started, std::chrono::steady_clock::now()));
   } else {
     execute(job);
   }
 #else
-  execute(job);  // The caller is one of the job's threads.
+  execute(job);
 #endif
+  tl_in_job = false;
 
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    job_slots_ = 0;  // Stop late helpers from joining a finished job.
-    job_ = nullptr;
-    job_done_.wait(lock, [&job] { return job.active_helpers == 0; });
+    unlink(job);  // Late helpers can no longer join a finished job.
+    job.helpers_done.wait(lock, [&job] { return job.active_helpers == 0; });
   }
   if (job.failed.load(std::memory_order_relaxed)) {
     std::rethrow_exception(job.error);

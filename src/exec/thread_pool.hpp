@@ -9,11 +9,17 @@
 //
 // Guarantees:
 //  - The first exception thrown by `fn` is captured and rethrown on the
-//    calling thread; remaining indices are abandoned.
-//  - Re-entrant use is safe: a nested run_indexed from inside a pool
-//    worker executes inline on that thread instead of deadlocking.
-//  - Concurrent top-level callers are safe: if the pool is busy with
-//    another job, the late caller simply runs its job inline.
+//    job's own calling thread; remaining indices of that job are
+//    abandoned. Other jobs running at the same time are unaffected.
+//  - Re-entrant use is safe: a nested run_indexed from inside a running
+//    job (on a helper or on the job's caller) executes inline on that
+//    thread instead of deadlocking.
+//  - Concurrent top-level callers share the helpers. Each caller links
+//    its job into a short list of open jobs, each with its own count of
+//    helper slots; a free helper joins the oldest job that still wants
+//    help. A caller always works on its own job, so when every helper is
+//    busy elsewhere it runs the whole job itself — no caller ever waits
+//    for another caller's job.
 #pragma once
 
 #include <atomic>
@@ -46,20 +52,19 @@ class ThreadPool {
   /// Executes fn(0) … fn(count-1), using at most `max_threads` threads
   /// including the caller. Blocks until every index has run (or the job
   /// failed), so the callable behind `fn` only needs to live for the call.
-  /// Rethrows the first exception thrown by fn.
+  /// Rethrows the first exception thrown by fn. Safe to call from several
+  /// threads at once.
   void run_indexed(std::size_t count, unsigned max_threads,
                    FunctionRef<void(std::size_t)> fn);
-
-  /// True while the current thread is a pool helper executing a job.
-  [[nodiscard]] static bool on_worker_thread() noexcept;
 
   /// The process-wide shared pool, sized to hardware_concurrency() − 1
   /// helpers. Started on first use.
   [[nodiscard]] static ThreadPool& global();
 
  private:
-  /// One run_indexed invocation. Helpers pull indices from `next` until
-  /// the range is exhausted or a failure is flagged.
+  /// One run_indexed invocation, living on its caller's stack. Threads
+  /// pull indices from `next` until the range is exhausted or a failure
+  /// is flagged.
   struct Job {
     explicit Job(FunctionRef<void(std::size_t)> f) : fn(f) {}
     FunctionRef<void(std::size_t)> fn;
@@ -68,7 +73,12 @@ class ThreadPool {
     std::atomic<bool> failed{false};
     std::exception_ptr error;     // guarded by error_mutex
     std::mutex error_mutex;
-    unsigned active_helpers = 0;  // guarded by the pool mutex
+    // Guarded by the pool mutex:
+    unsigned slots = 0;           // helpers this job still wants
+    unsigned active_helpers = 0;  // helpers inside execute(*this)
+    Job* newer = nullptr;         // open-job list, oldest first
+    Job* older = nullptr;
+    std::condition_variable helpers_done;  // active_helpers reached 0
     /// Submission timestamp for queue-wait profiling; only read when
     /// `timed` (set iff obs profiling was enabled at submit time).
     std::chrono::steady_clock::time_point submitted{};
@@ -77,15 +87,19 @@ class ThreadPool {
 
   void worker_loop();
   static void execute(Job& job);
+  /// Takes one helper slot of the oldest open job that still has
+  /// unclaimed indices, or returns null. Caller holds mutex_.
+  Job* claim_slot();
+  void link(Job& job);    // caller holds mutex_
+  void unlink(Job& job);  // caller holds mutex_
 
   std::mutex mutex_;
   std::condition_variable work_ready_;
-  std::condition_variable job_done_;
   std::vector<std::thread> workers_;
-  Job* job_ = nullptr;      // current job accepting helpers; guarded by mutex_
-  unsigned job_slots_ = 0;  // helpers the current job still wants
+  Job* oldest_ = nullptr;  // open jobs; guarded by mutex_
+  Job* newest_ = nullptr;
+  unsigned idle_ = 0;      // helpers blocked on work_ready_; guarded by mutex_
   bool stopping_ = false;
-  std::mutex submit_mutex_;  // serialises top-level jobs
 };
 
 }  // namespace hmdiv::exec

@@ -54,6 +54,7 @@
 #include "core/sequential_model.hpp"
 #include "core/tradeoff.hpp"
 #include "core/uncertainty.hpp"
+#include "exec/config.hpp"
 #include "obs/obs.hpp"
 #include "serve/admission.hpp"
 #include "serve/json.hpp"
@@ -69,9 +70,12 @@ struct ServiceOptions {
   /// Deadline applied when a request carries none (requests may ask for
   /// up to 60 s).
   std::uint64_t default_deadline_ms = 1000;
-  /// Thread budget for one request's compute (requests are already
-  /// parallel across connections; 1 = serial per request).
-  unsigned compute_threads = 1;
+  /// Thread budget for one request's uq, sweep and minimise compute,
+  /// caller included; 1 = serial per request. Defaults to the process
+  /// budget (HMDIV_THREADS, else all hardware threads). Requests on
+  /// different connections share the one process pool (DESIGN.md §6), so
+  /// a request gets only the helpers that are free.
+  unsigned compute_threads = exec::default_config().resolved_threads();
   /// Admission control; max_concurrent 0 = hardware concurrency.
   std::size_t max_concurrent = 0;
   std::size_t max_queue = 64;

@@ -739,14 +739,19 @@ TEST(ClusterRunnerTest, MalformedBlobAbortsWithClusterError) {
 
 TEST(ClusterRunnerTest, AllWorkersDeadThrowsClusterError) {
   HMDIV_REQUIRE_DAEMONS();
+  // Every worker refuses the connect and nothing has completed, so the
+  // run fails at once instead of sleeping out the re-probe backoff.
   exec::ClusterOptions options =
-      cluster_options({"127.0.0.1:1"}, /*shards=*/2);
+      cluster_options({"127.0.0.1:1", "127.0.0.1:1"}, /*shards=*/2);
   options.connect_timeout = 2s;
+  options.readmit_after = 30s;
   exec::ClusterRunner cluster(std::move(options));
   const core::TradeoffAnalyzer analyzer = reference_analyzer();
+  const auto started = std::chrono::steady_clock::now();
   EXPECT_THROW((void)core::sweep_clustered(analyzer,
                                            reference_thresholds(16), cluster),
                exec::ClusterError);
+  EXPECT_LT(std::chrono::steady_clock::now() - started, 10s);
 }
 
 TEST(ClusterRunnerTest, DeadWorkerFailsOverToHealthyOne) {

@@ -1,14 +1,19 @@
 // Tests for the exec subsystem: thread-pool correctness (exceptions,
-// empty ranges, nesting) and the determinism contract — every parallel
+// empty ranges, nesting, concurrent callers sharing the helpers) and the determinism contract — every parallel
 // Monte-Carlo / sweep entry point must produce bit-identical results at
 // 1 and N threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/paper_example.hpp"
@@ -17,6 +22,7 @@
 #include "core/trial_design.hpp"
 #include "core/uncertainty.hpp"
 #include "exec/parallel.hpp"
+#include "exec/thread_pool.hpp"
 #include "sim/feature_world.hpp"
 #include "sim/tabular_world.hpp"
 #include "sim/trial.hpp"
@@ -124,6 +130,156 @@ TEST(ExecParallelFor, NestedUseRunsInline) {
       },
       kWide);
   for (auto& v : visits) EXPECT_EQ(v.load(), 1);
+}
+
+// --- concurrent callers sharing one pool -----------------------------------
+
+/// Holds every invocation that arrives until `expected` are running at
+/// once (or a generous timeout passes), so a test can demand that work
+/// really overlapped instead of hoping the scheduler interleaves it.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int expected) : expected_(expected) {}
+
+  /// Returns false if the timeout hit before everyone arrived.
+  bool arrive_and_wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (++arrived_ >= expected_) {
+      all_here_.notify_all();
+      return true;
+    }
+    return all_here_.wait_for(lock, std::chrono::seconds(10),
+                              [this] { return arrived_ >= expected_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable all_here_;
+  int arrived_ = 0;
+  int expected_;
+};
+
+/// Thread ids that ran one job's indices.
+struct ThreadLog {
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  void add() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    ids.insert(std::this_thread::get_id());
+  }
+  std::size_t size() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    return ids.size();
+  }
+};
+
+TEST(ExecPoolSharing, ConcurrentCallersBothGetHelpers) {
+  // Two helpers, two callers, two indices per job, budget 2: the four
+  // invocations can only all be running at once if each caller got one
+  // helper. A pool that takes one top-level job at a time runs the later
+  // job inline and the rendezvous times out.
+  exec::ThreadPool pool(2);
+  Rendezvous all_four(4);
+  ThreadLog logs[2];
+  std::atomic<int> timeouts{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      auto body = [&](std::size_t) {
+        logs[c].add();
+        if (!all_four.arrive_and_wait()) ++timeouts;
+      };
+      pool.run_indexed(2, 2, exec::FunctionRef<void(std::size_t)>(body));
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_EQ(logs[0].size(), 2u);
+  EXPECT_EQ(logs[1].size(), 2u);
+}
+
+TEST(ExecPoolSharing, FailureRethrowsOnlyOnItsOwnCaller) {
+  exec::ThreadPool pool(2);
+  Rendezvous overlap(4);
+  constexpr std::size_t kCount = 200;
+  std::vector<std::atomic<int>> visits(kCount);
+  std::atomic<int> timeouts{0};
+  bool failing_threw = false;
+  bool clean_threw = false;
+  // Both jobs run their first two indices at once, on a caller and a
+  // helper each, before the failing one throws.
+  std::thread failing([&] {
+    auto body = [&](std::size_t i) {
+      if (i < 2 && !overlap.arrive_and_wait()) ++timeouts;
+      if (i == 1) throw std::runtime_error("boom");
+    };
+    try {
+      pool.run_indexed(kCount, 2, exec::FunctionRef<void(std::size_t)>(body));
+    } catch (const std::runtime_error&) {
+      failing_threw = true;
+    }
+  });
+  std::thread clean([&] {
+    auto body = [&](std::size_t i) {
+      if (i < 2 && !overlap.arrive_and_wait()) ++timeouts;
+      visits[i].fetch_add(1);
+    };
+    try {
+      pool.run_indexed(kCount, 2, exec::FunctionRef<void(std::size_t)>(body));
+    } catch (...) {
+      clean_threw = true;
+    }
+  });
+  failing.join();
+  clean.join();
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_TRUE(failing_threw);
+  EXPECT_FALSE(clean_threw);
+  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(visits[i].load(), 1);
+}
+
+TEST(ExecPoolSharing, NestedCallsRunInlineOnCallerAndHelpers) {
+  exec::ThreadPool pool(3);
+  std::atomic<int> foreign{0};
+  std::atomic<int> inner_calls{0};
+  auto outer = [&](std::size_t) {
+    const std::thread::id self = std::this_thread::get_id();
+    auto inner = [&](std::size_t) {
+      if (std::this_thread::get_id() != self) ++foreign;
+      ++inner_calls;
+    };
+    pool.run_indexed(16, 4, exec::FunctionRef<void(std::size_t)>(inner));
+  };
+  pool.run_indexed(32, 4, exec::FunctionRef<void(std::size_t)>(outer));
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_EQ(inner_calls.load(), 32 * 16);
+}
+
+TEST(ExecPoolSharing, ManyCallersThenCleanShutdown) {
+  // Four callers hammer a three-helper pool with small jobs; every index
+  // runs exactly once, and the destructor then joins every helper.
+  constexpr int kCallers = 4;
+  constexpr int kJobs = 200;
+  std::vector<std::atomic<long>> sums(kCallers);
+  {
+    exec::ThreadPool pool(3);
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        for (int j = 0; j < kJobs; ++j) {
+          auto body = [&](std::size_t i) {
+            sums[c].fetch_add(static_cast<long>(i) + 1);
+          };
+          pool.run_indexed(64, 1 + (j % 4),
+                           exec::FunctionRef<void(std::size_t)>(body));
+        }
+      });
+    }
+    for (std::thread& t : callers) t.join();
+  }
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(sums[c].load(), static_cast<long>(kJobs) * 64 * 65 / 2);
+  }
 }
 
 TEST(ExecParallelReduce, OrderedSumMatchesSerial) {

@@ -25,6 +25,7 @@
 #include "alloc_count.hpp"
 #include "core/extrapolation.hpp"
 #include "core/paper_example.hpp"
+#include "exec/config.hpp"
 #include "exec/workspace.hpp"
 #include "obs/obs.hpp"
 #include "serve/admission.hpp"
@@ -236,6 +237,51 @@ TEST(ServeServiceTest, UqIsDeterministicForFixedSeed) {
   EXPECT_EQ(number_field(a, "mean"), number_field(b, "mean"));
   EXPECT_EQ(number_field(a, "lower"), number_field(b, "lower"));
   EXPECT_EQ(number_field(a, "upper"), number_field(b, "upper"));
+}
+
+// --- shared compute ---------------------------------------------------------
+
+// Requests that fan out over the process pool: uq over 4 and 8 chunks of
+// 512 draws, a sweep over two deadline chunks of up to 2048 steps (512
+// per pool chunk) and a minimise over 8 chunks of 512 steps. Each is
+// large enough that the default budget really splits it across threads.
+const std::vector<std::string>& pooled_requests() {
+  static const std::vector<std::string> lines = {
+      "{\"op\":\"uq\",\"id\":1,\"params\":{\"draws\":2000,\"seed\":11}}",
+      "{\"op\":\"uq\",\"id\":2,\"params\":{\"draws\":4096,"
+      "\"seed\":12,\"profile\":\"trial\",\"credibility\":0.9}}",
+      "{\"op\":\"sweep\",\"id\":3,\"params\":{\"steps\":4000,"
+      "\"points\":33,\"lo\":-3.5,\"hi\":3}}",
+      "{\"op\":\"minimise\",\"id\":4,\"params\":{\"steps\":4096,"
+      "\"cost_fn\":300,\"cost_fp\":15}}",
+  };
+  return lines;
+}
+
+serve::ServiceOptions serial_compute() {
+  serve::ServiceOptions options;
+  options.compute_threads = 1;
+  return options;
+}
+
+TEST(ServeSharedComputeTest, DefaultBudgetIsTheProcessBudget) {
+  EXPECT_EQ(serve::ServiceOptions{}.compute_threads,
+            exec::default_config().resolved_threads());
+}
+
+TEST(ServeSharedComputeTest, RepliesByteIdenticalAtOneThreadAndDefault) {
+  auto serial = make_service(serial_compute());
+  auto wide = make_service();
+  // A wider budget than the pool has changes nothing either.
+  serve::ServiceOptions eight;
+  eight.compute_threads = 8;
+  auto eight_wide = make_service(eight);
+  for (const std::string& line : pooled_requests()) {
+    const std::string want = respond(serial, line);
+    ASSERT_NE(want.find("\"ok\":true"), std::string::npos) << want;
+    EXPECT_EQ(respond(wide, line), want) << line;
+    EXPECT_EQ(respond(eight_wide, line), want) << line;
+  }
 }
 
 // --- admission control ----------------------------------------------------
@@ -589,6 +635,67 @@ TEST(ServeServerTest, PipelinedConnectionsGetOrderedByteIdenticalResponses) {
   for (std::size_t c = 0; c < kConnections; ++c) {
     ASSERT_EQ(got[c].size(), kPerConnection) << "connection " << c;
     for (std::size_t k = 0; k < kPerConnection; ++k) {
+      std::string want;
+      reference.handle_line(conn_lines[c][k], scratch, want);
+      EXPECT_EQ(got[c][k] + "\n", want)
+          << "connection " << c << " line " << k << ": " << conn_lines[c][k];
+    }
+  }
+}
+
+TEST(ServeServerTest, ConcurrentPooledComputeMatchesSerialService) {
+  // Two connections pipeline uq requests at once through a daemon at the
+  // default compute budget, so both connection threads submit pool jobs
+  // at the same time. Every reply must equal, per connection and in
+  // order, what a single-thread in-process Service returns. Caches are
+  // off on both sides so every request really computes.
+  serve::ServiceOptions options;
+  options.whatif_cache_capacity = 0;
+  options.sweep_cache_capacity = 0;
+  options.minimise_cache_capacity = 0;
+  options.uq_cache_capacity = 0;
+
+  constexpr std::size_t kConnections = 2;
+  constexpr std::size_t kPerConnection = 16;
+  std::vector<std::vector<std::string>> conn_lines(kConnections);
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    for (std::size_t k = 0; k < kPerConnection; ++k) {
+      const std::string id = std::to_string(c * 100 + k);
+      conn_lines[c].push_back("{\"op\":\"uq\",\"id\":" + id +
+                              ",\"params\":{\"draws\":2000,\"seed\":" +
+                              std::to_string(k % 5) + "}}");
+    }
+    conn_lines[c].push_back(pooled_requests()[2]);
+    conn_lines[c].push_back(pooled_requests()[3]);
+  }
+
+  auto service = make_service(options);
+  ASSERT_GT(service.options().compute_threads, 0u);
+  serve::Server server(service, {});
+  server.start();
+  std::vector<std::vector<std::string>> got(kConnections);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      const int fd = connect_to(server.port());
+      ASSERT_GE(fd, 0);
+      std::string batch;
+      for (const auto& line : conn_lines[c]) batch += line + "\n";
+      ASSERT_TRUE(send_str(fd, batch));
+      got[c] = read_lines(fd, conn_lines[c].size());
+      ::close(fd);
+    });
+  }
+  for (auto& t : clients) t.join();
+  server.shutdown();
+
+  serve::ServiceOptions reference_options = options;
+  reference_options.compute_threads = 1;
+  auto reference = make_service(reference_options);
+  serve::RequestScratch scratch;
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    ASSERT_EQ(got[c].size(), conn_lines[c].size()) << "connection " << c;
+    for (std::size_t k = 0; k < conn_lines[c].size(); ++k) {
       std::string want;
       reference.handle_line(conn_lines[c][k], scratch, want);
       EXPECT_EQ(got[c][k] + "\n", want)

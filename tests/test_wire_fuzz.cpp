@@ -1,9 +1,12 @@
-// Seeded mutation fuzzing of the fan-out decoders.
+// Seeded mutation fuzzing of every decoder of untrusted bytes.
 //
 // Targets: the four blob handlers ("sim.trial", "core.sweep",
 // "core.minimise", "core.uq.sample"), the trial, sweep, minimise and UQ
-// merges, the obs snapshot parser behind every obs frame, and the frame
-// parser itself fed mutated streams. Each target starts from valid inputs
+// merges, the obs snapshot parser behind every obs frame, the frame
+// parser itself fed mutated streams, and the network-facing text of
+// hmdiv_serve: request lines through serve::JsonParser and through
+// Service::handle_line, and the core::model_io model and profile loaders
+// that the `reload` endpoint feeds. Each target starts from valid inputs
 // built by the production encoders and handlers, then decodes kIterations
 // mutants of them: bit flips, truncations, lying 8-byte length or count
 // fields, and splices of byte ranges between seeds. The property: every
@@ -11,7 +14,9 @@
 // exec::wire::ProtocolError or std::invalid_argument for the fan-out
 // decoders, std::runtime_error for obs::parse_snapshot — never another
 // exception (bad_alloc, length_error), and under the sanitizer build
-// never an out-of-bounds access or undefined behaviour.
+// never an out-of-bounds access or undefined behaviour. The JSON parser
+// and handle_line never throw: their rejection is a structured error
+// (JsonParser::Result::error, an "ok":false reply line).
 //
 // The trailing work-size words of the trial, minimise and UQ blobs (and
 // the trial and UQ seeds) are not overwritten in place: any value there
@@ -33,6 +38,7 @@
 #include <typeinfo>
 #include <vector>
 
+#include "core/model_io.hpp"
 #include "core/paper_example.hpp"
 #include "core/tradeoff.hpp"
 #include "core/tradeoff_shard.hpp"
@@ -40,7 +46,10 @@
 #include "core/uncertainty_shard.hpp"
 #include "exec/shard.hpp"
 #include "exec/shard_protocol.hpp"
+#include "exec/workspace.hpp"
 #include "obs/obs.hpp"
+#include "serve/json.hpp"
+#include "serve/service.hpp"
 #include "sim/tabular_world.hpp"
 #include "sim/trial_shard.hpp"
 #include "stats/rng.hpp"
@@ -441,6 +450,159 @@ TEST(WireFuzz, FrameParserYieldsFramesOrProtocolError) {
         // Every byte fed is in a yielded frame or still buffered.
         ASSERT_EQ(consumed + parser.buffered(), mutant.size());
       }));
+}
+
+// --- hmdiv_serve request lines and reload texts --------------------------
+
+Bytes to_bytes(std::string_view text) { return Bytes(text.begin(), text.end()); }
+
+std::string to_text(const Bytes& bytes) {
+  return std::string(bytes.begin(), bytes.end());
+}
+
+std::vector<Bytes> request_corpus() {
+  std::vector<Bytes> corpus;
+  for (const char* line : {
+           R"({"op":"whatif","id":7,"deadline_ms":250,"params":{"reader_factor":1.5,"machine_factor":0.5}})",
+           R"({"op":"whatif","id":"aé
+","params":{"per_class":[{"class":"difficult","machine":0.25,"reader":2}],"profile":"trial"}})",
+           R"({"op":"compare","id":3,"params":{"scenarios":[{"reader_factor":2},{"machine_factor":0.1,"profile":"field"}]}})",
+           R"({"op":"analyze","id":null,"params":{}})",
+           R"({"op":"health","id":[true,false,null,-1.5e-3]})",
+           R"(  {"op":"metrics"}  )",
+       }) {
+    corpus.push_back(to_bytes(line));
+  }
+  return corpus;
+}
+
+/// Touches every byte a parsed JSON tree points at, so a view past the
+/// input or the arena is an out-of-bounds read under ASan.
+std::size_t walk(const serve::JsonValue& value, std::size_t depth = 0) {
+  std::size_t sum = depth;
+  for (const char c : value.string()) sum += static_cast<unsigned char>(c);
+  for (std::size_t i = 0; i < value.item_count; ++i) {
+    sum += walk(value.items[i], depth + 1);
+  }
+  for (std::size_t i = 0; i < value.member_count; ++i) {
+    for (const char c : value.members[i].name()) {
+      sum += static_cast<unsigned char>(c);
+    }
+    sum += walk(value.members[i].value, depth + 1);
+  }
+  return sum;
+}
+
+/// Raised by the tests below to count a structured error as a rejection.
+struct StructuredError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+bool structured_rejection(const std::exception& e) {
+  return dynamic_cast<const StructuredError*>(&e) != nullptr;
+}
+
+TEST(WireFuzz, JsonRequestLineYieldsValueOrStructuredError) {
+  const std::vector<Bytes> seeds = request_corpus();
+  serve::JsonParser parser;
+  exec::Workspace workspace;
+  expect_both_outcomes(
+      "json request line",
+      fuzz(
+          "json request line", 0x150A,
+          [&](Mutator& m) {
+            const std::string line =
+                to_text(m.mutate(seeds[m.below(seeds.size())], seeds, 0));
+            const exec::Workspace::Scope scope(workspace);
+            const serve::JsonParser::Result result =
+                parser.parse(line, workspace);
+            if (result.error != nullptr) {
+              ASSERT_EQ(result.value, nullptr);
+              ASSERT_LE(result.error_at, line.size());
+              throw StructuredError(result.error);
+            }
+            ASSERT_NE(result.value, nullptr);
+            (void)walk(*result.value);
+          },
+          structured_rejection));
+}
+
+TEST(WireFuzz, ServiceRequestLineYieldsReplyOrStructuredError) {
+  // The whole request path behind the socket, on endpoints whose cost
+  // does not scale with a request field (a mutated "draws" or "steps"
+  // is a valid, expensive request, not a decoder property).
+  const std::vector<Bytes> seeds = request_corpus();
+  serve::ServiceOptions options;
+  options.compute_threads = 1;
+  serve::Service service(core::paper::example_model(),
+                         core::paper::trial_profile(),
+                         core::paper::field_profile(), options);
+  serve::RequestScratch scratch;
+  std::string out;
+  expect_both_outcomes(
+      "service request line",
+      fuzz(
+          "service request line", 0x5E7E,
+          [&](Mutator& m) {
+            const std::string line =
+                to_text(m.mutate(seeds[m.below(seeds.size())], seeds, 0));
+            out.clear();
+            service.handle_line(line, scratch, out);
+            // Exactly one newline-terminated reply line.
+            ASSERT_FALSE(out.empty());
+            ASSERT_EQ(out.find('\n'), out.size() - 1) << out;
+            ASSERT_FALSE(scratch.shard_upgrade) << line;
+            if (out.find("\"ok\":false") != std::string::npos) {
+              ASSERT_NE(out.find("\"code\":\""), std::string::npos) << out;
+              throw StructuredError(out);
+            }
+            ASSERT_NE(out.find("\"ok\":true"), std::string::npos) << out;
+          },
+          structured_rejection));
+}
+
+/// core::model_io loaders reject malformed text with std::invalid_argument.
+bool text_rejection(const std::exception& e) {
+  return dynamic_cast<const std::invalid_argument*>(&e) != nullptr;
+}
+
+std::vector<Bytes> model_io_corpus() {
+  return {to_bytes(core::to_text(core::paper::example_model())),
+          to_bytes("hmdiv-sequential-model v1\n# PMf PHf|Mf PHf|Ms\n"
+                   "class easy 0.07 0.5 0.05\n"
+                   "class difficult 0.41 0.9 0.15\n"),
+          to_bytes(core::to_text(core::paper::trial_profile())),
+          to_bytes(core::to_text(core::paper::field_profile())),
+          to_bytes("# comment\n\nhmdiv-demand-profile v1\n"
+                   "class a 0.25\nclass b 0.75\n")};
+}
+
+TEST(WireFuzz, ModelTextLoaderYieldsModelOrInvalidArgument) {
+  const std::vector<Bytes> seeds = model_io_corpus();
+  expect_both_outcomes(
+      "model text",
+      fuzz(
+          "model text", 0x30DE1,
+          [&](Mutator& m) {
+            const core::SequentialModel model = core::parse_sequential_model(
+                to_text(m.mutate(seeds[m.below(2)], seeds, 0)));
+            ASSERT_GT(model.class_count(), 0u);
+          },
+          text_rejection));
+}
+
+TEST(WireFuzz, ProfileTextLoaderYieldsProfileOrInvalidArgument) {
+  const std::vector<Bytes> seeds = model_io_corpus();
+  expect_both_outcomes(
+      "profile text",
+      fuzz(
+          "profile text", 0x9F0F1,
+          [&](Mutator& m) {
+            const core::DemandProfile profile = core::parse_demand_profile(
+                to_text(m.mutate(seeds[2 + m.below(3)], seeds, 0)));
+            ASSERT_GT(profile.class_count(), 0u);
+          },
+          text_rejection));
 }
 
 }  // namespace
