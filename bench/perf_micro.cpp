@@ -25,6 +25,7 @@
 #include "exec/parallel.hpp"
 #include "exec/shard.hpp"
 #include "rbd/structure.hpp"
+#include "serve/service.hpp"
 #include "sim/estimation.hpp"
 #include "sim/feature_world.hpp"
 #include "sim/parallel_world.hpp"
@@ -421,6 +422,78 @@ BENCHMARK(BM_UncertaintyConcurrentCallers)
     ->Threads(2)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
+
+// The Beta posteriors of the `uq` endpoint's synthetic counts (2000 cases
+// per class of the example model, Jeffreys prior): six (a, b) pairs, drawn
+// in the sampler's 512-lane chunks. BM_FillGamma fills the same twelve
+// shapes one at a time; both count one output per item.
+constexpr double kUqBetaShapes[6][2] = {
+    {140.5, 1860.5}, {25.5, 115.5},  {260.5, 1600.5},
+    {820.5, 1180.5}, {738.5, 82.5},  {472.5, 708.5}};
+constexpr std::size_t kUqChunk = 512;
+
+/// The twelve shapes of kUqBetaShapes, each pair's a then b.
+std::vector<stats::Rng::GammaPrep> uq_gamma_preps() {
+  std::vector<stats::Rng::GammaPrep> preps;
+  for (const auto& pair : kUqBetaShapes) {
+    preps.emplace_back(pair[0]);
+    preps.emplace_back(pair[1]);
+  }
+  return preps;
+}
+
+void BM_FillGamma(benchmark::State& state) {
+  const auto preps = uq_gamma_preps();
+  std::vector<double> out(kUqChunk);
+  stats::Rng rng(11);
+  for (auto _ : state) {
+    for (const auto& prep : preps) rng.fill_gamma(prep, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(preps.size() * kUqChunk));
+}
+BENCHMARK(BM_FillGamma)->Unit(benchmark::kMicrosecond);
+
+void BM_FillBeta(benchmark::State& state) {
+  const auto preps = uq_gamma_preps();
+  std::vector<double> out(kUqChunk);
+  stats::Rng rng(11);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < preps.size(); i += 2) {
+      rng.fill_beta(preps[i], preps[i + 1], out);
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(preps.size() / 2 *
+                                                    kUqChunk));
+}
+BENCHMARK(BM_FillBeta)->Unit(benchmark::kMicrosecond);
+
+// One default `uq` request (2000 draws) through Service::handle_line at a
+// compute budget of 1 thread, with the uq cache off so every iteration
+// computes: parse, the posterior sampler and the reply.
+void BM_ServeUq(benchmark::State& state) {
+  serve::ServiceOptions options;
+  options.compute_threads = 1;
+  options.uq_cache_capacity = 0;
+  serve::Service service(core::paper::example_model(),
+                         core::paper::trial_profile(),
+                         core::paper::field_profile(), options);
+  serve::RequestScratch scratch;
+  const std::string line = R"({"op":"uq","id":1,"params":{"seed":7}})";
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    service.handle_line(line, scratch, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  if (out.find("\"mean\"") == std::string::npos) {
+    state.SkipWithError("uq request failed");
+  }
+}
+BENCHMARK(BM_ServeUq)->Unit(benchmark::kMicrosecond);
 
 void BM_TrialScaling(benchmark::State& state) {
   const exec::Config config{static_cast<unsigned>(state.range(0))};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace hmdiv::stats {
@@ -81,8 +82,8 @@ namespace {
 // same rational with a Halley step for interval endpoints; here the raw
 // rational is enough — a ~1e-9 perturbation of a random deviate is far
 // below anything a distributional (KS/chi-square) test can resolve, and
-// skipping the refinement keeps the central path free of libm calls so it
-// vectorises.
+// skipping the refinement keeps the kernels free of libm calls so they
+// vectorise.
 constexpr double kIcdfA[6] = {-3.969683028665376e+01, 2.209460984245205e+02,
                               -2.759285104469687e+02, 1.383577518672690e+02,
                               -3.066479806614716e+01, 2.506628277459239e+00};
@@ -98,22 +99,15 @@ constexpr double kIcdfPLow = 0.02425;
 
 // Same gating as special.cpp: target_clones resolves through an ifunc,
 // which runs before sanitizer runtimes initialise; sanitized builds take
-// the default codegen. Clone selection changes instruction scheduling
-// only — the batched kernels promise distributional equivalence, and the
-// same binary always picks the same clone, so determinism across thread
-// counts is unaffected.
+// the default codegen. rng.cpp is built with -ffp-contract=off, so no
+// clone fuses a multiply-add: every clone rounds each operation the same
+// way, and an AVX-512, an AVX2 and a baseline machine draw the same bits
+// from the same seed.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define HMDIV_RNG_TARGET_CLONES
-#define HMDIV_RNG_TARGET_CLONES_AVX2
 #else
 #define HMDIV_RNG_TARGET_CLONES \
   __attribute__((target_clones("avx512f", "avx2", "default")))
-// For the integer-heavy engine kernel only: GCC 12's avx512f codegen
-// scalarises the interleaved state recurrence into GPRs (the resolver
-// would still pick that clone on AVX-512 hardware), while the avx2 clone
-// keeps all four state vectors register-resident. Cap it at AVX2.
-#define HMDIV_RNG_TARGET_CLONES_AVX2 \
-  __attribute__((target_clones("avx2", "default")))
 #endif
 
 /// Central-region rational; only valid for p in [kIcdfPLow, 1-kIcdfPLow]
@@ -135,10 +129,9 @@ inline double icdf_central(double p) noexcept {
   return num / den;
 }
 
-/// Lower-tail branch for p in (0, kIcdfPLow); returns a negative deviate.
-/// The upper tail is the mirror image: -icdf_lower_tail(1 - p).
-inline double icdf_lower_tail(double p) noexcept {
-  const double q = std::sqrt(-2.0 * std::log(p));
+/// Tail rational in q = sqrt(−2 ln p') for the tail mass p' < kIcdfPLow;
+/// returns the (negative) lower-tail deviate. Finite for every q ≥ 0.
+inline double icdf_tail(double q) noexcept {
   return (((((kIcdfC[0] * q + kIcdfC[1]) * q + kIcdfC[2]) * q + kIcdfC[3]) *
                q +
            kIcdfC[4]) *
@@ -148,39 +141,77 @@ inline double icdf_lower_tail(double p) noexcept {
           1.0);
 }
 
+constexpr std::uint64_t kExp52 = 0x4330000000000000ULL;  // 2⁵² exponent
+
+/// Branch-free natural log for positive normal x (the fdlibm/musl
+/// reduction): x = 2ᵏ·m with m in [√½, √2), f = m − 1 (exact), s =
+/// f/(2+f), and ln m = f − f²/2 + s·(f²/2 + R(s²)) with fdlibm's degree-14
+/// minimax R. Only integer bit operations, one division and plain
+/// arithmetic, so it vectorises. Error bound: |log_poly(x) − ln x| ≤
+/// 2⁻⁵⁰·|ln x| (fdlibm states < 1 ulp; 2·10⁷ samples over (2⁻³³, 1),
+/// 1 ± 10⁻³ and e^±30 stay within 2⁻⁵² of glibc's log).
+inline double log_poly(double x) noexcept {
+  constexpr double kLg1 = 6.666666666666735130e-01;
+  constexpr double kLg2 = 3.999999999940941908e-01;
+  constexpr double kLg3 = 2.857142874366239149e-01;
+  constexpr double kLg4 = 2.222219843214978396e-01;
+  constexpr double kLg5 = 1.818357216161805012e-01;
+  constexpr double kLg6 = 1.531383769920937332e-01;
+  constexpr double kLg7 = 1.479819860511658591e-01;
+  constexpr double kLn2Hi = 6.93147180369123816490e-01;
+  constexpr double kLn2Lo = 1.90821492927058770002e-10;
+  constexpr std::uint64_t kSqrtHalf = 0x3fe6a09e667f3bcdULL;  // bits of √½
+  // Adding the bit offset of 1.0 over √½ carries into the exponent
+  // exactly when x's significand is ≥ √2, so bits >> 52 is k + 1023 for
+  // the k with x/2ᵏ in [√½, √2), and the low 52 bits plus √½'s bits are
+  // that m. k goes to double by the 2⁵² offset trick (AVX2 has no
+  // int64 → double convert).
+  const std::uint64_t bits =
+      std::bit_cast<std::uint64_t>(x) + (0x3ff0000000000000ULL - kSqrtHalf);
+  const double k =
+      std::bit_cast<double>((bits >> 52) | kExp52) - (0x1.0p52 + 1023.0);
+  const double f =
+      std::bit_cast<double>((bits & 0x000fffffffffffffULL) + kSqrtHalf) - 1.0;
+  const double s = f / (2.0 + f);
+  const double z = s * s;
+  const double w = z * z;
+  const double t1 = w * (kLg2 + w * (kLg4 + w * kLg6));
+  const double t2 = z * (kLg1 + w * (kLg3 + w * (kLg5 + w * kLg7)));
+  const double hfsq = 0.5 * f * f;
+  return s * (hfsq + (t2 + t1)) + k * kLn2Lo - hfsq + f + k * kLn2Hi;
+}
+
+/// The Marsaglia–Tsang log test with libm logs, for v3 = v³ > 0, u > 0.
+/// gamma_core and the batched kernels' in-band lanes both decide here.
+inline bool mt_log_accept(double u, double x, double d, double v3) noexcept {
+  return std::log(u) < 0.5 * x * x + d * (1.0 - v3 + std::log(v3));
+}
+
 /// Stack-block lane width for the batched kernels: big enough to amortise
 /// loop overheads and keep the vector units busy, small enough that the
 /// scratch (a few such arrays) stays a handful of KiB of stack.
 constexpr std::size_t kFillBlock = 256;
 
-/// Pass 1 of fill_normal_icdf: shift the 53-bit uniforms off the endpoints
-/// and run the central rational over every lane. Branch-free, so the whole
-/// loop (including the one division) vectorises.
-HMDIV_RNG_TARGET_CLONES void icdf_central_block(double* __restrict__ p,
-                                        double* __restrict__ z,
-                                                std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) p[i] += 0x1.0p-54;
-  for (std::size_t i = 0; i < n; ++i) z[i] = icdf_central(p[i]);
-}
-
-/// Fused pass 1 of fill_gamma: run the central inverse-CDF rational and
-/// the Marsaglia–Tsang squeeze in one branch-free traversal. Writes the
-/// normal deviate (z), the candidate value d·v³ and the squeeze flag per
-/// lane. `p` and `u` come from fill_uniform_pair, already strictly inside
-/// (0, 1). Lanes whose p landed in an inverse-CDF tail hold garbage until
-/// the caller's scalar fixup.
+/// Pass 1 of fill_gamma over every lane: the central inverse-CDF rational,
+/// the candidate d·v³ and the squeeze. ok[j] is set only for a lane that
+/// is central, has v > 0 and passes the squeeze — accepted outright with
+/// block[j] final. Every other lane (~9% at the uq endpoint's shapes:
+/// inverse-CDF tails, squeeze failures) goes to gamma_decide_block. `p`
+/// and `u` lie strictly inside (0, 1). The flags are 64-bit so the loop
+/// vectorises at the width of its doubles; byte flags make GCC widen the
+/// vectorisation factor to 32.
 HMDIV_RNG_TARGET_CLONES void gamma_candidate_block(
     const double* __restrict__ p, const double* __restrict__ u, double d,
-    double c, double* __restrict__ z, double* __restrict__ value,
-    unsigned char* __restrict__ ok, std::size_t n) {
+    double c, double* __restrict__ value, std::uint64_t* __restrict__ ok,
+    std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) {
     const double zz = icdf_central(p[j]);
-    z[j] = zz;
     const double v = 1.0 + c * zz;
     value[j] = d * (v * v * v);
     const double z2 = zz * zz;
-    ok[j] =
-        static_cast<unsigned char>((v > 0.0) & (u[j] < 1.0 - 0.0331 * z2 * z2));
+    ok[j] = static_cast<std::uint64_t>(
+        (p[j] >= kIcdfPLow) & (p[j] <= 1.0 - kIcdfPLow) & (v > 0.0) &
+        (u[j] < 1.0 - 0.0331 * z2 * z2));
   }
 }
 
@@ -191,95 +222,28 @@ HMDIV_RNG_TARGET_CLONES void beta_combine_block(double* __restrict__ x,
   for (std::size_t j = 0; j < n; ++j) x[j] = x[j] / (x[j] + y[j]);
 }
 
-/// Interleave width of the vectorised uniform-pair kernel: 8 × 64-bit
-/// states fill one AVX-512 register (two AVX2 registers), and GCC unrolls
-/// the inner lane loop into straight vector code.
+/// Interleave width of the uniform-pair kernel: 8 × 64-bit engine states,
+/// one AVX-512 register or two AVX2 registers per state word.
 constexpr std::size_t kUniformLanes = 8;
 
-/// Interleaved xoshiro256+ block: each lane j runs its own engine
-/// (SoA state s0..s3), one output per lane per step, split into the
-/// (hi, lo) mid-tread uniforms of fill_uniform_pair. xoshiro256+ instead
-/// of ** because the + scrambler is a single add — the ** variant's 64-bit
-/// multiplies have no AVX2 instruction and de-vectorise the loop. Its known
-/// weakness (linear artefacts in the lowest output bits) lands in the low
-/// bits of the squeeze uniform `u`, perturbing it below the 2⁻³⁰ level —
-/// invisible to the distributional contract of the batched kernels. The
-/// u64→double conversions use the 2⁵² exponent-offset trick because AVX2
-/// has no unsigned-quad convert; the result is bit-identical to
-/// static_cast (both halves are < 2³², exactly representable).
-/// n must be a multiple of kUniformLanes.
-HMDIV_RNG_TARGET_CLONES_AVX2 void uniform_pair_block(
-    std::uint64_t* __restrict__ s0, std::uint64_t* __restrict__ s1,
-    std::uint64_t* __restrict__ s2, std::uint64_t* __restrict__ s3,
-    double* __restrict__ p, double* __restrict__ u, std::size_t n) {
-  constexpr double kOffset = 0x1.0p52 - 0.5;       // folds the +0.5 mid-tread
-  constexpr std::uint64_t kExp52 = 0x4330000000000000ULL;  // 2⁵² exponent
-  std::uint64_t r[kUniformLanes];
-  // Two inner loops, not one: mixing the integer state recurrence with the
-  // double conversions in a single body makes GCC's SLP vectoriser bail on
-  // the conversion half and extract lanes to scalar registers.
-  for (std::size_t i = 0; i < n; i += kUniformLanes) {
-    for (std::size_t j = 0; j < kUniformLanes; ++j) r[j] = s0[j] + s3[j];
-    for (std::size_t j = 0; j < kUniformLanes; ++j) {
-      const std::uint64_t t = s1[j] << 17;
-      s2[j] ^= s0[j];
-      s3[j] ^= s1[j];
-      s1[j] ^= s2[j];
-      s0[j] ^= s3[j];
-      s2[j] ^= t;
-      s3[j] = rotl(s3[j], 45);
-    }
-    for (std::size_t j = 0; j < kUniformLanes; ++j) {
-      const std::uint64_t hi = (r[j] >> 32) | kExp52;
-      const std::uint64_t lo = (r[j] & 0xFFFFFFFFULL) | kExp52;
-      p[i + j] = (std::bit_cast<double>(hi) - kOffset) * 0x1.0p-32;
-      u[i + j] = (std::bit_cast<double>(lo) - kOffset) * 0x1.0p-32;
-    }
-  }
-}
+/// GCC vector types for the interleaved engines: lane j of each is engine
+/// j. Written as explicit vectors because the auto-vectoriser turns the
+/// 8-lane state recurrence into scalar code.
+using U64Lanes =
+    std::uint64_t __attribute__((vector_size(kUniformLanes * 8)));
+using F64Lanes = double __attribute__((vector_size(kUniformLanes * 8)));
 
-/// Exact Marsaglia–Tsang decision for a lane that failed the squeeze:
-/// accept iff ln(u) < 0.5·x² + d·(1 − v³ + ln v³), v > 0 (u == 0 rejects,
-/// matching gamma_core's guard). Before paying for libm logs, two cheap
-/// exact inequalities resolve almost every lane:
-///   ln u ≤ u − 1            and   ln u ≥ 1 − 1/u          (u > 0)
-///   ln v ≥ 2(v−1)/(v+1)     (v ≥ 1),   ln v ≥ 1 − 1/v     (v ≤ 1)
-///   ln v ≤ v − 1            (all v > 0)
-/// Their gaps are O((v−1)³) and O((u−1)²) — and squeeze-failed lanes have
-/// u near 1 — so only the sliver where the bounds bracket the threshold
-/// still calls std::log. (The bounds are evaluated in floating point, so a
-/// lane within ~1 ulp of the exact threshold may flip; the batched kernels
-/// promise distributional equivalence, and this is far below what any
-/// distributional test can resolve.)
-inline bool gamma_accept_slow(double u, double x2, double d,
-                              double v) noexcept {
-  if (u <= 0.0) return false;
-  const double v3 = v * v * v;
-  const double base = 0.5 * x2 + d * (1.0 - v3);
-  const double lb_lnv =
-      v >= 1.0 ? 2.0 * (v - 1.0) / (v + 1.0) : 1.0 - 1.0 / v;
-  if (u - 1.0 < base + 3.0 * d * lb_lnv) return true;
-  if (1.0 - 1.0 / u > base + 3.0 * d * (v - 1.0)) return false;
-  return std::log(u) < base + d * std::log(v3);
-}
+/// The 8 interleaved xoshiro256+ lane engines of one fill_gamma/fill_beta
+/// call (state words s0..s3, lane j = engine j). Their states are derived
+/// from ONE member-engine draw through a SplitMix64 chain — the same
+/// whitening the (seed, stream) constructor uses — so the lanes are as
+/// unrelated as different seeds, and the member stream advances by one
+/// step per call whatever its length.
+struct LaneEngines {
+  U64Lanes s0, s1, s2, s3;
 
-}  // namespace
-
-void Rng::fill_uniform_pair(std::span<double> p, double* u) noexcept {
-  const std::size_t n = p.size();
-  std::size_t start = 0;
-  if (n >= kUniformLanes * 8) {
-    // Large span (the main candidate blocks): hand the bulk to the
-    // interleaved kernel. Lane states are derived from ONE member-engine
-    // draw through a SplitMix64 chain — the same whitening the (seed,
-    // stream) constructor uses — so the lanes are as unrelated as
-    // different seeds and the expansion is deterministic: one call, one
-    // member step, same outputs every time.
-    std::uint64_t sm = next_u64();
-    std::uint64_t s0[kUniformLanes];
-    std::uint64_t s1[kUniformLanes];
-    std::uint64_t s2[kUniformLanes];
-    std::uint64_t s3[kUniformLanes];
+  explicit LaneEngines(Rng& rng) noexcept {
+    std::uint64_t sm = rng.next_u64();
     for (std::size_t j = 0; j < kUniformLanes; ++j) {
       s0[j] = splitmix64(sm);
       s1[j] = splitmix64(sm);
@@ -287,133 +251,188 @@ void Rng::fill_uniform_pair(std::span<double> p, double* u) noexcept {
       s3[j] = splitmix64(sm);
       if (s0[j] == 0 && s1[j] == 0 && s2[j] == 0 && s3[j] == 0) s0[j] = 1;
     }
-    start = n - n % kUniformLanes;
-    uniform_pair_block(s0, s1, s2, s3, p.data(), u, start);
   }
-  // Short spans (refill rounds touch only the few rejected lanes) and the
-  // vector remainder: step the member engine directly.
-  for (std::size_t j = start; j < n; ++j) {
-    const std::uint64_t r = next_u64();
-    p[j] = (static_cast<double>(r >> 32) + 0.5) * 0x1.0p-32;
-    u[j] = (static_cast<double>(r & 0xFFFFFFFFULL) + 0.5) * 0x1.0p-32;
+};
+
+/// Steps every lane engine n / kUniformLanes times, one output per lane
+/// per step, split into two mid-tread 32-bit uniforms (k + 0.5)·2⁻³², both
+/// strictly inside (0, 1): p feeds the inverse-CDF normal, u the
+/// Marsaglia–Tsang test. The 2⁻³² grid perturbs the distribution at the
+/// 2⁻³³ level, far below the batched kernels' distributional contract.
+/// xoshiro256+ instead of ** because the + scrambler is a single add — the
+/// ** variant's 64-bit multiplies have no AVX2 instruction. Its known
+/// weakness (linear artefacts in the lowest output bits) lands in the low
+/// bits of `u`, perturbing it below the 2⁻³⁰ level. The u64→double
+/// conversions use the 2⁵² exponent-offset trick because AVX2 has no
+/// unsigned-quad convert; the result is bit-identical to static_cast (both
+/// halves are < 2³², exactly representable). Integer ops plus one exact
+/// subtraction and one exact power-of-two scaling, so every clone yields
+/// the same bits. n must be a multiple of kUniformLanes.
+HMDIV_RNG_TARGET_CLONES void uniform_pair_block(LaneEngines& lanes,
+                                                double* __restrict__ p,
+                                                double* __restrict__ u,
+                                                std::size_t n) {
+  constexpr double kOffset = 0x1.0p52 - 0.5;  // folds the +0.5 mid-tread
+  U64Lanes s0 = lanes.s0, s1 = lanes.s1, s2 = lanes.s2, s3 = lanes.s3;
+  for (std::size_t i = 0; i < n; i += kUniformLanes) {
+    const U64Lanes r = s0 + s3;
+    const U64Lanes t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = (s3 << 45) | (s3 >> 19);
+    // __builtin_bit_cast, not std::bit_cast: a vector returned by value
+    // from a function changes ABI between clones (-Wpsabi).
+    const F64Lanes hi = __builtin_bit_cast(F64Lanes, (r >> 32) | kExp52);
+    const F64Lanes lo =
+        __builtin_bit_cast(F64Lanes, (r & 0xFFFFFFFFULL) | kExp52);
+    const F64Lanes ph = (hi - kOffset) * 0x1.0p-32;
+    const F64Lanes ul = (lo - kOffset) * 0x1.0p-32;
+    std::memcpy(p + i, &ph, sizeof ph);
+    std::memcpy(u + i, &ul, sizeof ul);
   }
+  lanes.s0 = s0;
+  lanes.s1 = s1;
+  lanes.s2 = s2;
+  lanes.s3 = s3;
 }
 
-void Rng::fill_normal_icdf(std::span<double> out) noexcept {
+/// Fills one block of at most kFillBlock Gamma draws. Pass 1 settles the
+/// central squeeze-accepted lanes; the rest are compacted and decided by
+/// gamma_decide_block, whose rare in-band lanes take the libm test. A
+/// rejected lane is refilled from the member engine and decided again,
+/// round after round, until none is left.
+void gamma_fill_block(Rng& rng, LaneEngines& lanes,
+                      const Rng::GammaPrep& prep, double* block,
+                      std::size_t m) noexcept {
   double p[kFillBlock];
-  std::size_t start = 0;
-  while (start < out.size()) {
-    const std::size_t n = std::min(kFillBlock, out.size() - start);
-    fill_uniform({p, n});
-    double* z = out.data() + start;
-    // fill_uniform yields k * 2^-53 with k in [0, 2^53): pass 1 shifts by
-    // half an ulp to (k + 0.5) * 2^-53, strictly inside (0, 1), so the
-    // tail logs below never see 0 and no lane can produce an infinity;
-    // then the central rational runs over every lane. Tail lanes get a
-    // finite garbage value, fixed up in pass 2.
-    icdf_central_block(p, z, n);
-    // Pass 2: ~4.85% of lanes fall in a tail and take the scalar log path.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (p[i] < kIcdfPLow) {
-        z[i] = icdf_lower_tail(p[i]);
-      } else if (p[i] > 1.0 - kIcdfPLow) {
-        z[i] = -icdf_lower_tail(1.0 - p[i]);
-      }
-    }
-    start += n;
-  }
-}
-
-void Rng::fill_gamma(const GammaPrep& prep, std::span<double> out) noexcept {
-  double p[kFillBlock];
-  double z[kFillBlock];
   double u[kFillBlock];
+  double z[kFillBlock];
+  double value[kFillBlock];
   std::uint32_t idx[kFillBlock];
-  unsigned char ok[kFillBlock];
+  std::uint64_t verdict[kFillBlock];
   const double d = prep.d;
   const double c = prep.c;
+  // Whole lane steps; the arrays hold kFillBlock, a multiple of them.
+  uniform_pair_block(lanes, p, u,
+                     (m + kUniformLanes - 1) / kUniformLanes * kUniformLanes);
+  gamma_candidate_block(p, u, d, c, block, verdict, m);
+  // Compact the unsettled lanes' indices and uniforms to the front; idx[k]
+  // >= k, so the in-place gather never reads a slot it already wrote.
+  std::size_t pending = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    idx[pending] = static_cast<std::uint32_t>(j);
+    pending += verdict[j] == 0 ? 1 : 0;
+  }
+  for (std::size_t k = 0; k < pending; ++k) {
+    p[k] = p[idx[k]];
+    u[k] = u[idx[k]];
+  }
+  while (pending > 0) {
+    // Whole lane steps: the vector loop then never falls to its scalar
+    // epilogue. The padding lanes hold earlier uniforms, still in (0, 1),
+    // and their verdicts are ignored.
+    const std::size_t padded =
+        (pending + kUniformLanes - 1) / kUniformLanes * kUniformLanes;
+    detail::gamma_decide_block(p, u, d, c, z, value, verdict, padded);
+    std::size_t rejected = 0;
+    for (std::size_t k = 0; k < pending; ++k) {
+      bool accept = verdict[k] == detail::kGammaAccept;
+      if (verdict[k] == detail::kGammaUndecided) {
+        const double v = 1.0 + c * z[k];
+        accept = mt_log_accept(u[k], z[k], d, v * v * v);
+      }
+      if (accept) {
+        block[idx[k]] = value[k];
+      } else {
+        idx[rejected++] = idx[k];
+      }
+    }
+    // Refill: fresh candidates for the rejected lanes (about 0.1% of them
+    // at the posterior shapes) straight from the member engine.
+    pending = rejected;
+    for (std::size_t k = 0; k < pending; ++k) {
+      const std::uint64_t r = rng.next_u64();
+      p[k] = (static_cast<double>(r >> 32) + 0.5) * 0x1.0p-32;
+      u[k] = (static_cast<double>(r & 0xFFFFFFFFULL) + 0.5) * 0x1.0p-32;
+    }
+  }
+  if (prep.boosted) {
+    // Shape < 1: scale the Gamma(shape+1) block by u^(1/shape), the
+    // Marsaglia–Tsang boost. The scalar path draws its uniform before
+    // the gamma; the batched path draws the whole block after — a
+    // different stream mapping, same distribution.
+    rng.fill_uniform({u, m});
+    for (std::size_t j = 0; j < m; ++j) {
+      block[j] *= std::pow(u[j], prep.inv_shape);
+    }
+  }
+}
+
+}  // namespace
+
+namespace detail {
+
+HMDIV_RNG_TARGET_CLONES void gamma_decide_block(
+    const double* __restrict__ p, const double* __restrict__ u, double d,
+    double c, double* __restrict__ z, double* __restrict__ value,
+    std::uint64_t* __restrict__ verdict, std::size_t n) noexcept {
+  for (std::size_t j = 0; j < n; ++j) {
+    const double pj = p[j];
+    // Both inverse-CDF branches run on every lane; the tail one on the
+    // smaller tail mass, mirrored for the upper tail.
+    const double tail_mass = pj < 0.5 ? pj : 1.0 - pj;
+    const double tail = icdf_tail(std::sqrt(-2.0 * log_poly(tail_mass)));
+    const double central = icdf_central(pj);
+    const double zz = pj < kIcdfPLow           ? tail
+                      : pj > 1.0 - kIcdfPLow ? -tail
+                                             : central;
+    z[j] = zz;
+    const double v = 1.0 + c * zz;
+    const double v3 = v * v * v;
+    value[j] = d * v3;
+    const double z2 = zz * zz;
+    const bool squeeze = u[j] < 1.0 - 0.0331 * z2 * z2;
+    // The log test, ln u < z²/2 + d·(1 − v³ + ln v³), with log_poly. v3 is
+    // only used where v > 0; the guard keeps the other lanes finite.
+    const double ln_u = log_poly(u[j]);
+    const double ln_v3 = log_poly(v3 > 0.0 ? v3 : 1.0);
+    const double one_minus_v3 = 1.0 - v3;
+    const double margin = ln_u - (0.5 * z2 + d * (one_minus_v3 + ln_v3));
+    const double band =
+        kGammaDecisionBand *
+        (std::fabs(ln_u) + 0.5 * z2 +
+         d * (std::fabs(one_minus_v3) + std::fabs(ln_v3)));
+    const bool live = v > 0.0;
+    const bool accept = live & (squeeze | (margin < -band));
+    const bool undecided = live & !squeeze & (std::fabs(margin) <= band);
+    verdict[j] = accept      ? kGammaAccept
+                 : undecided ? kGammaUndecided
+                             : kGammaReject;
+  }
+}
+
+}  // namespace detail
+
+void Rng::fill_gamma(const GammaPrep& prep, std::span<double> out) noexcept {
+  LaneEngines lanes(*this);
   for (std::size_t start = 0; start < out.size(); start += kFillBlock) {
     const std::size_t m = std::min(kFillBlock, out.size() - start);
-    double* block = out.data() + start;
-    fill_uniform_pair({p, m}, u);
-    // Pass 1 (vectorised, fused): inverse-CDF normal + candidate d·v³ +
-    // squeeze flag in one traversal.
-    gamma_candidate_block(p, u, d, c, z, block, ok, m);
-    // Pass 2 (one scalar traversal): the ~4.85% of lanes whose uniform
-    // fell in an inverse-CDF tail redo the candidate with the scalar tail
-    // branch; lanes that failed the squeeze get the exact log test. The
-    // survivors' candidate values are already in place; true rejections
-    // (v <= 0 or log test failed) are compacted into `idx` for refill.
-    std::size_t pending = 0;
-    for (std::size_t j = 0; j < m; ++j) {
-      double zz = z[j];
-      if (p[j] < kIcdfPLow || p[j] > 1.0 - kIcdfPLow) {
-        zz = p[j] < kIcdfPLow ? icdf_lower_tail(p[j])
-                              : -icdf_lower_tail(1.0 - p[j]);
-        const double v = 1.0 + c * zz;
-        const double z2 = zz * zz;
-        if (v > 0.0 && (u[j] < 1.0 - 0.0331 * z2 * z2 ||
-                        gamma_accept_slow(u[j], z2, d, v))) {
-          block[j] = d * (v * v * v);
-          continue;
-        }
-      } else if (ok[j]) {
-        continue;
-      } else {
-        const double v = 1.0 + c * zz;
-        if (v > 0.0 && gamma_accept_slow(u[j], zz * zz, d, v)) {
-          continue;  // block[j] already holds d·v³
-        }
-      }
-      idx[pending++] = static_cast<std::uint32_t>(j);
-    }
-    // Refill rounds: regenerate candidates only for the rejected lanes
-    // (typically a few percent, so one short round ends almost all blocks).
-    while (pending > 0) {
-      fill_uniform_pair({p, pending}, u);
-      std::size_t rejected = 0;
-      for (std::size_t k = 0; k < pending; ++k) {
-        const std::uint32_t j = idx[k];
-        const double pp = p[k];
-        const double zz = pp < kIcdfPLow ? icdf_lower_tail(pp)
-                          : pp > 1.0 - kIcdfPLow
-                              ? -icdf_lower_tail(1.0 - pp)
-                              : icdf_central(pp);
-        const double v = 1.0 + c * zz;
-        if (v > 0.0) {
-          const double uu = u[k];
-          const double z2 = zz * zz;
-          if (uu < 1.0 - 0.0331 * z2 * z2 ||
-              gamma_accept_slow(uu, z2, d, v)) {
-            block[j] = d * (v * v * v);
-            continue;
-          }
-        }
-        idx[rejected++] = j;
-      }
-      pending = rejected;
-    }
-    if (prep.boosted) {
-      // Shape < 1: scale the Gamma(shape+1) block by u^(1/shape), the
-      // Marsaglia–Tsang boost. The scalar path draws its uniform before
-      // the gamma; the batched path draws the whole block after — a
-      // different stream mapping, same distribution.
-      fill_uniform({u, m});
-      for (std::size_t j = 0; j < m; ++j) {
-        block[j] *= std::pow(u[j], prep.inv_shape);
-      }
-    }
+    gamma_fill_block(*this, lanes, prep, out.data() + start, m);
   }
 }
 
 void Rng::fill_beta(const GammaPrep& a, const GammaPrep& b,
                     std::span<double> out) noexcept {
+  LaneEngines lanes(*this);
   double y[kFillBlock];
   for (std::size_t start = 0; start < out.size(); start += kFillBlock) {
     const std::size_t m = std::min(kFillBlock, out.size() - start);
     double* block = out.data() + start;
-    fill_gamma(a, {block, m});
-    fill_gamma(b, {y, m});
+    gamma_fill_block(*this, lanes, a, block, m);
+    gamma_fill_block(*this, lanes, b, y, m);
     beta_combine_block(block, y, m);
   }
 }
@@ -485,9 +504,7 @@ double gamma_core(Rng& rng, double d, double c) {
     v = v * v * v;
     const double u = rng.uniform();
     if (u < 1.0 - 0.0331 * x * x * x * x) return d * v;
-    if (u > 0.0 && std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
-      return d * v;
-    }
+    if (u > 0.0 && mt_log_accept(u, x, d, v)) return d * v;
   }
 }
 

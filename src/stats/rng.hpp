@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -58,16 +59,6 @@ class Rng {
   /// normal() out.size() times (including the cached-spare behaviour).
   void fill_normal(std::span<double> out) noexcept;
 
-  /// Fills `out` with standard normal deviates via the Acklam inverse-CDF
-  /// rational applied to one uniform per lane. Branch-free over the central
-  /// 95.15% of lanes, so the whole block vectorises — unlike the polar
-  /// method, whose per-pair rejection loop is inherently serial. NOT
-  /// bit-identical to fill_normal()/normal(): same distribution (the
-  /// rational's relative error is ~1e-9, far below anything a KS test can
-  /// resolve), different stream mapping (one u64 per deviate). This is the
-  /// normal primitive of the batched gamma/beta kernels below.
-  void fill_normal_icdf(std::span<double> out) noexcept;
-
   /// Uniform double in [lo, hi); requires lo <= hi.
   double uniform(double lo, double hi);
 
@@ -110,13 +101,16 @@ class Rng {
   double beta(const GammaPrep& a, const GammaPrep& b);
 
   /// Fills `out` with Gamma(shape, 1) draws for the prep's shape. Batched
-  /// Marsaglia–Tsang: each candidate lane takes one engine step (split
-  /// into a normal via the inverse-CDF transform of fill_normal_icdf and a
-  /// squeeze uniform), the squeeze test runs branch-free over whole lanes,
-  /// and the rejected lanes are compacted into an index list and refilled
-  /// in blocks until none remain. Equivalent to gamma(prep) in
-  /// distribution, NOT bitwise (different stream consumption). All scratch
-  /// is fixed-size stack blocks — no heap allocation at all.
+  /// Marsaglia–Tsang: each candidate lane takes one step of one of 8
+  /// interleaved lane engines (seeded once per call from one member-engine
+  /// draw), split into a normal via the Acklam inverse-CDF rational and a
+  /// uniform for the acceptance test. A vector pass accepts the central
+  /// lanes that pass the squeeze; the others (inverse-CDF tails, squeeze
+  /// failures) are compacted and decided by detail::gamma_decide_block.
+  /// Rejected lanes are redrawn from the member engine until none remain.
+  /// Equivalent to gamma(prep) in distribution, NOT bitwise (different
+  /// stream consumption). All scratch is fixed-size stack blocks — no heap
+  /// allocation at all.
   void fill_gamma(const GammaPrep& prep, std::span<double> out) noexcept;
 
   /// Fills `out` with Beta(a, b) draws as X/(X+Y) from two fill_gamma
@@ -157,21 +151,38 @@ class Rng {
   }
 
  private:
-  /// One engine output per lane, split into two mid-tread 32-bit uniforms
-  /// (k + 0.5)·2⁻³², both strictly inside (0, 1): p feeds the inverse-CDF
-  /// normal, u the squeeze test. Halves the engine traffic of the batched
-  /// gamma kernel; the 2⁻³² grid perturbs the distribution at the 2⁻³³
-  /// level, far below the batched kernels' distributional-equivalence
-  /// contract (the inverse-CDF rational's own error is ~1e-9). Large spans
-  /// run an interleaved 8-lane xoshiro256+ kernel whose lane states are
-  /// derived deterministically from one member-engine draw (so the serial
-  /// engine recurrence stops being the bottleneck); short spans step the
-  /// member engine directly.
-  void fill_uniform_pair(std::span<double> p, double* u) noexcept;
-
   std::array<std::uint64_t, 4> state_{};
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;
 };
+
+namespace detail {
+
+/// Verdicts of gamma_decide_block.
+inline constexpr std::uint64_t kGammaReject = 0;
+inline constexpr std::uint64_t kGammaAccept = 1;
+inline constexpr std::uint64_t kGammaUndecided = 2;
+
+/// Relative width of gamma_decide_block's undecided band (see there).
+inline constexpr double kGammaDecisionBand = 0x1.0p-44;
+
+/// The decision pass of Rng::fill_gamma, exposed so tests can check it
+/// against the libm Marsaglia–Tsang test. For each lane, p[j] and u[j] in
+/// (0, 1) give the normal z[j] (Acklam inverse CDF, tails included) and
+/// the candidate value[j] = d·v³, v = 1 + c·z[j]. verdict[j] is
+/// kGammaAccept when v > 0 and either u < 1 − 0.0331·z⁴ (the squeeze) or
+/// ln u < z²/2 + d·(1 − v³ + ln v³); kGammaReject when v ≤ 0 or the test
+/// fails. The logs come from a branch-free polynomial within 2⁻⁵⁰·|ln x|
+/// of ln x; a lane whose two sides lie within kGammaDecisionBand·(|ln u| +
+/// z²/2 + d·(|1 − v³| + |ln v³|)) of each other — far wider than that
+/// error plus the rounding of the expression — is kGammaUndecided, and
+/// fill_gamma decides it with std::log. Outside the band the verdict
+/// equals the std::log test's. Branch-free, so it vectorises; built
+/// without FMA contraction, so every ISA clone returns the same bits.
+void gamma_decide_block(const double* p, const double* u, double d, double c,
+                        double* z, double* value, std::uint64_t* verdict,
+                        std::size_t n) noexcept;
+
+}  // namespace detail
 
 }  // namespace hmdiv::stats

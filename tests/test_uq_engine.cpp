@@ -1,5 +1,5 @@
-// Tests for the batched uncertainty engine (PR 5): the bulk
-// fill_gamma/fill_beta/fill_normal_icdf kernels, the fused
+// Tests for the batched uncertainty engine: the bulk fill_gamma/fill_beta
+// kernels and their vector acceptance decision, the fused
 // sample-and-evaluate posterior path, and its contracts — statistical
 // equivalence with the scalar reference, bit-identical results across
 // thread counts, zero steady-state heap allocations, and NaN propagation.
@@ -74,20 +74,29 @@ double mean_z_test_p(std::span<const double> a, std::span<const double> b) {
 // Statistical equivalence: batched kernels vs their scalar references.
 // ---------------------------------------------------------------------------
 
-TEST(UncertaintyEngineStats, FillNormalIcdfMatchesNormalCdf) {
-  stats::Rng rng(2024);
-  std::vector<double> draws(40'000);
-  rng.fill_normal_icdf(draws);
-  const auto ks = stats::kolmogorov_smirnov_test(
-      draws, [](double z) { return stats::normal_cdf(z); });
-  EXPECT_GT(ks.p_value, kAlpha) << "KS statistic " << ks.statistic;
-}
-
 TEST(UncertaintyEngineStats, FillGammaMatchesGammaCdf) {
   // One shape per regime: large (the posterior shapes of an 800-case
   // class), moderate, and boosted (< 1, exercised via Gamma(shape+1)·u^(1/k)).
   for (const double shape : {744.5, 2.5, 0.5}) {
     stats::Rng rng(77);
+    const stats::Rng::GammaPrep prep(shape);
+    std::vector<double> draws(40'000);
+    rng.fill_gamma(prep, draws);
+    const auto ks = stats::kolmogorov_smirnov_test(draws, [&](double x) {
+      return x <= 0.0 ? 0.0
+                      : stats::regularized_lower_incomplete_gamma(shape, x);
+    });
+    EXPECT_GT(ks.p_value, kAlpha)
+        << "shape " << shape << " KS statistic " << ks.statistic;
+  }
+}
+
+TEST(UncertaintyEngineStats, FillGammaMatchesGammaCdfAtServeShapes) {
+  // The uq endpoint's posterior shapes (2000 synthetic cases per class:
+  // 25.5 and 115.5 the smallest, 1860.5 the largest), and shape 1, where
+  // v = 1 + c·z turns negative for z < −3.7 and refill rounds are frequent.
+  for (const double shape : {25.5, 115.5, 1740.5, 1860.5, 1.0}) {
+    stats::Rng rng(2003);
     const stats::Rng::GammaPrep prep(shape);
     std::vector<double> draws(40'000);
     rng.fill_gamma(prep, draws);
@@ -200,6 +209,122 @@ TEST(UncertaintyEngineStats, PredictAgreesWithPredictReference) {
   // several times the SE of the mean here), so the bound is looser.
   EXPECT_NEAR(batched.lower, reference.lower, 30.0 * se);
   EXPECT_NEAR(batched.upper, reference.upper, 30.0 * se);
+}
+
+// ---------------------------------------------------------------------------
+// The vector acceptance decision of fill_gamma against the libm test.
+// ---------------------------------------------------------------------------
+
+/// gamma_core's Marsaglia–Tsang test with std::log, for candidate z.
+bool libm_accepts(double u, double z, double d, double c) {
+  const double v = 1.0 + c * z;
+  if (!(v > 0.0)) return false;
+  const double v3 = v * v * v;
+  if (u < 1.0 - 0.0331 * z * z * z * z) return true;
+  return std::log(u) < 0.5 * z * z + d * (1.0 - v3 + std::log(v3));
+}
+
+TEST(UncertaintyEngineExact, GammaDecisionMatchesLogTestOutsideBand) {
+  // 5 shapes × 240k seeded candidates on fill_gamma's 2⁻³² mid-tread grid:
+  // the serve shapes, shape 1 (v ≤ 0 lanes) and the boosted 0.5 (decided
+  // as Gamma(1.5)). Then, per shape, candidates whose u sits a relative
+  // δ from the exact threshold e^(z²/2 + d(1 − v³ + ln v³)), from well
+  // inside the undecided band to far outside it. Every decided lane must
+  // agree with std::log.
+  constexpr double kIcdfPLow = 0.02425;  // Acklam's tail boundary
+  constexpr std::size_t kLanes = 240'000;
+  std::size_t total = 0, tails = 0, squeeze_failures = 0, dead = 0;
+  std::size_t random_undecided = 0, mismatches = 0, value_errors = 0;
+  std::size_t near_undecided = 0, far_undecided = 0;
+  for (const double shape : {25.5, 115.5, 1860.5, 1.0, 0.5}) {
+    const stats::Rng::GammaPrep prep(shape);
+    const double d = prep.d;
+    const double c = prep.c;
+    std::vector<double> p(kLanes), u(kLanes), z(kLanes), value(kLanes);
+    std::vector<std::uint64_t> verdict(kLanes);
+    stats::Rng rng(static_cast<std::uint64_t>(shape * 1000.0));
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      const std::uint64_t r = rng.next_u64();
+      p[j] = (static_cast<double>(r >> 32) + 0.5) * 0x1.0p-32;
+      u[j] = (static_cast<double>(r & 0xFFFFFFFFULL) + 0.5) * 0x1.0p-32;
+    }
+    stats::detail::gamma_decide_block(p.data(), u.data(), d, c, z.data(),
+                                      value.data(), verdict.data(), kLanes);
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      ++total;
+      const double v = 1.0 + c * z[j];
+      tails += (p[j] < kIcdfPLow || p[j] > 1.0 - kIcdfPLow) ? 1 : 0;
+      dead += v > 0.0 ? 0 : 1;
+      const double z2 = z[j] * z[j];
+      squeeze_failures += (v > 0.0 && !(u[j] < 1.0 - 0.0331 * z2 * z2)) ? 1 : 0;
+      const double expected_value = d * (v * v * v);
+      value_errors +=
+          std::fabs(value[j] - expected_value) <=
+                  1e-12 * (1.0 + std::fabs(expected_value))
+              ? 0
+              : 1;
+      if (verdict[j] == stats::detail::kGammaUndecided) {
+        ++random_undecided;
+        continue;
+      }
+      const bool expected = libm_accepts(u[j], z[j], d, c);
+      if ((verdict[j] == stats::detail::kGammaAccept) != expected) ++mismatches;
+    }
+
+    // Near-threshold candidates: keep each lane's p (so z is unchanged),
+    // move u to threshold·(1 + δ) where that lies in (0, 1) and the
+    // squeeze does not already accept.
+    constexpr double kDeltas[] = {-1e-6, -1e-9,  -1e-11, -1e-13, -1e-15,
+                                  1e-15, 1e-13,  1e-11,  1e-9,   1e-6};
+    std::vector<double> np, nu, nz, nvalue;
+    std::vector<double> ndelta;
+    for (std::size_t j = 0; j < kLanes && np.size() < 40'000; ++j) {
+      const double v = 1.0 + c * z[j];
+      if (!(v > 0.0)) continue;
+      const double v3 = v * v * v;
+      const double threshold =
+          std::exp(0.5 * z[j] * z[j] + d * (1.0 - v3 + std::log(v3)));
+      for (const double delta : kDeltas) {
+        const double uu = threshold * (1.0 + delta);
+        const double z2 = z[j] * z[j];
+        if (!(uu > 0.0 && uu < 1.0) || uu < 1.0 - 0.0331 * z2 * z2) continue;
+        np.push_back(p[j]);
+        nu.push_back(uu);
+        ndelta.push_back(delta);
+      }
+    }
+    ASSERT_GT(np.size(), 10'000u) << "shape " << shape;
+    nz.resize(np.size());
+    nvalue.resize(np.size());
+    std::vector<std::uint64_t> nverdict(np.size());
+    stats::detail::gamma_decide_block(np.data(), nu.data(), d, c, nz.data(),
+                                      nvalue.data(), nverdict.data(),
+                                      np.size());
+    for (std::size_t j = 0; j < np.size(); ++j) {
+      ++total;
+      if (nverdict[j] == stats::detail::kGammaUndecided) {
+        if (std::fabs(ndelta[j]) < 1e-14) ++near_undecided;
+        if (std::fabs(ndelta[j]) > 1e-10) ++far_undecided;
+        continue;
+      }
+      const bool expected = libm_accepts(nu[j], nz[j], d, c);
+      if ((nverdict[j] == stats::detail::kGammaAccept) != expected) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_GE(total, 1'000'000u);
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(value_errors, 0u);
+  // The run reaches every lane kind the decision pass handles.
+  EXPECT_GT(tails, 40'000u);
+  EXPECT_GT(squeeze_failures, 60'000u);
+  EXPECT_GT(dead, 0u);
+  // The band is live (lanes a few ulps from the threshold defer to
+  // std::log) and narrow (a random lane, or one 10⁻⁹ away, never does).
+  EXPECT_GT(near_undecided, 0u);
+  EXPECT_EQ(far_undecided, 0u);
+  EXPECT_EQ(random_undecided, 0u);
 }
 
 // ---------------------------------------------------------------------------
