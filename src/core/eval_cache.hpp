@@ -13,25 +13,22 @@
 // and FIFO deque, and a key's segment is a pure function of its hash, so
 // concurrent requests for different keys contend only when they land in
 // the same segment (audited for the serve layer's cross-request sharing;
-// the single global mutex it replaces serialised every hit). Capacity
-// changes and clear() take every segment lock and may rebuild the layout;
-// a find() racing a rebuild can miss spuriously (and recompute), never
+// the single global mutex it replaces serialised every hit). The capacity,
+// and so the layout, is fixed at construction; clear() takes each segment
+// lock in turn, so a find() racing it can miss (and recompute), never
 // read torn data.
 //
 // Semantics:
 //  - capacity 0 (the default) disables the cache entirely; callers that
-//    never opt in pay one relaxed atomic load per call.
+//    never opt in pay one comparison per call.
 //  - capacity < kSegments keeps every entry in one segment, preserving
 //    the exact global FIFO eviction order small caches (and their tests)
 //    rely on. Larger capacities split it evenly across segments, each
 //    evicting oldest-first; the global order is FIFO per segment.
-//  - shrinking preserves the newest entries (a global insertion sequence
-//    number decides age across segments).
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -65,56 +62,22 @@ class EvalCache {
   using Key = std::vector<double>;
 
   /// Lock-sharding width. Fixed so a key's segment never depends on
-  /// anything but its hash and the current layout mode.
+  /// anything but its hash and the capacity.
   static constexpr std::size_t kSegments = 8;
 
-  /// Sets the maximum total number of memoised results; 0 disables the
-  /// cache and drops anything stored. Shrinking evicts oldest-first
-  /// (globally, by insertion sequence). May redistribute surviving
-  /// entries between segments when the layout mode changes.
-  void set_capacity(std::size_t capacity) {
-    const std::lock_guard<std::mutex> structural(structural_mutex_);
-    // Collect survivors in global insertion order before re-laying out.
-    std::vector<Entry> entries;
-    for (Segment& segment : segments_) {
-      const std::lock_guard<std::mutex> lock(segment.mutex);
-      for (Entry& entry : segment.entries) entries.push_back(std::move(entry));
-      segment.entries.clear();
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
-    if (entries.size() > capacity) {
-      entries.erase(entries.begin(),
-                    entries.end() - static_cast<std::ptrdiff_t>(capacity));
-    }
-    for (std::size_t s = 0; s < kSegments; ++s) {
-      const std::lock_guard<std::mutex> lock(segments_[s].mutex);
-      segments_[s].capacity = segment_capacity(capacity, s);
-    }
-    capacity_.store(capacity, std::memory_order_release);
-    for (Entry& entry : entries) {
-      Segment& segment = segment_for(entry.hash, capacity);
-      const std::lock_guard<std::mutex> lock(segment.mutex);
-      if (segment.entries.size() < segment.capacity) {
-        segment.entries.push_back(std::move(entry));
-      }
-      // A full segment drops the (older) overflow — total stays <=
-      // capacity and the newest entries survive.
-    }
-  }
+  /// Holds at most `capacity` memoised results; 0 (the default)
+  /// disables the cache.
+  explicit EvalCache(std::size_t capacity = 0) : capacity_(capacity) {}
 
-  [[nodiscard]] std::size_t capacity() const {
-    return capacity_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// True when a capacity has been set; find/insert are no-ops otherwise.
-  [[nodiscard]] bool enabled() const { return capacity() > 0; }
+  /// True when the capacity is nonzero; find/insert are no-ops otherwise.
+  [[nodiscard]] bool enabled() const { return capacity_ > 0; }
 
   /// Drops every entry (capacity is kept). The serve layer calls this on
   /// model reload: results keyed by scenario inputs would otherwise leak
   /// stale answers computed against the previous model.
   void clear() {
-    const std::lock_guard<std::mutex> structural(structural_mutex_);
     for (Segment& segment : segments_) {
       const std::lock_guard<std::mutex> lock(segment.mutex);
       segment.entries.clear();
@@ -136,10 +99,9 @@ class EvalCache {
   /// trivially copyable Value), so steady-state hot paths can probe with
   /// reused key storage.
   [[nodiscard]] std::optional<Value> find(std::span<const double> key) const {
-    const std::size_t capacity = this->capacity();
-    if (capacity == 0) return std::nullopt;
+    if (capacity_ == 0) return std::nullopt;
     const std::size_t hash = eval_cache_hash(key);
-    const Segment& segment = segment_for(hash, capacity);
+    const Segment& segment = segments_[segment_index(hash)];
     const std::lock_guard<std::mutex> lock(segment.mutex);
     for (const Entry& entry : segment.entries) {
       if (entry.hash == hash && entry.key.size() == key.size() &&
@@ -158,16 +120,14 @@ class EvalCache {
   /// full. Duplicate keys are tolerated (find returns the oldest surviving
   /// copy); both copies age out normally.
   void insert(Key key, Value value) {
-    const std::size_t capacity = this->capacity();
-    if (capacity == 0) return;
+    if (capacity_ == 0) return;
     const std::size_t hash = eval_cache_hash(key);
-    Segment& segment = segment_for(hash, capacity);
-    const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t s = segment_index(hash);
+    const std::size_t limit = segment_capacity(s);
+    Segment& segment = segments_[s];
     const std::lock_guard<std::mutex> lock(segment.mutex);
-    if (segment.capacity == 0) return;
-    segment.entries.push_back(
-        Entry{hash, seq, std::move(key), std::move(value)});
-    while (segment.entries.size() > segment.capacity) {
+    segment.entries.push_back(Entry{hash, std::move(key), std::move(value)});
+    while (segment.entries.size() > limit) {
       segment.entries.pop_front();
     }
   }
@@ -176,50 +136,37 @@ class EvalCache {
   /// short-circuit here — not in the Key overload — to keep disabled-cache
   /// miss paths allocation free.
   void insert(std::span<const double> key, Value value) {
-    if (capacity() == 0) return;
+    if (capacity_ == 0) return;
     insert(Key(key.begin(), key.end()), std::move(value));
   }
 
  private:
   struct Entry {
     std::size_t hash = 0;
-    std::uint64_t seq = 0;  ///< global insertion order, for shrink/migrate
     Key key;
     Value value;
   };
 
   struct Segment {
     mutable std::mutex mutex;
-    std::deque<Entry> entries;      // guarded by mutex
-    std::size_t capacity = 0;       // guarded by mutex
+    std::deque<Entry> entries;  // guarded by mutex
   };
 
-  /// Per-segment share of `capacity` under the layout that capacity
-  /// implies: one segment takes everything while capacity < kSegments
-  /// (exact global FIFO for small caches), otherwise an even split with
-  /// the remainder spread over the first segments (sum == capacity).
-  [[nodiscard]] static std::size_t segment_capacity(std::size_t capacity,
-                                                    std::size_t s) {
-    if (capacity < kSegments) return s == 0 ? capacity : 0;
-    return capacity / kSegments + (s < capacity % kSegments ? 1 : 0);
+  /// Capacity of segment s, the segment_index of some key: segment 0
+  /// takes everything while capacity < kSegments (exact global FIFO for
+  /// small caches), otherwise an even split with the remainder spread
+  /// over the first segments (sum == capacity).
+  [[nodiscard]] std::size_t segment_capacity(std::size_t s) const {
+    if (capacity_ < kSegments) return capacity_;
+    return capacity_ / kSegments + (s < capacity_ % kSegments ? 1 : 0);
   }
 
-  [[nodiscard]] static std::size_t segment_index(std::size_t hash,
-                                                 std::size_t capacity) {
-    return capacity < kSegments ? 0 : hash % kSegments;
+  [[nodiscard]] std::size_t segment_index(std::size_t hash) const {
+    return capacity_ < kSegments ? 0 : hash % kSegments;
   }
 
-  [[nodiscard]] Segment& segment_for(std::size_t hash,
-                                     std::size_t capacity) const {
-    return segments_[segment_index(hash, capacity)];
-  }
-
+  const std::size_t capacity_;
   mutable std::array<Segment, kSegments> segments_;
-  /// Serialises structural operations (set_capacity, clear) against each
-  /// other; point operations take only their segment's mutex.
-  std::mutex structural_mutex_;
-  std::atomic<std::size_t> capacity_{0};
-  std::atomic<std::uint64_t> seq_{0};
 };
 
 }  // namespace hmdiv::core

@@ -9,10 +9,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <deque>
-#include <mutex>
 #include <utility>
 
 #include "exec/cluster_protocol.hpp"
@@ -26,18 +24,6 @@ namespace hmdiv::exec {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// --- Process-global worker stats (metrics endpoint) -----------------------
-
-std::mutex& stats_mutex() {
-  static std::mutex mutex;
-  return mutex;
-}
-
-std::vector<ClusterWorkerStats>& stats_store() {
-  static std::vector<ClusterWorkerStats> store;
-  return store;
-}
 
 // --- Socket helpers -------------------------------------------------------
 
@@ -121,11 +107,6 @@ struct ClusterRunner::Conn {
   /// tasks set blob_cached and ride the worker session's cache.
   bool blob_sent = false;
 
-  // Adaptive sizing: EWMA of per-micro-shard service time. Persists
-  // across runs on a warm connection (worker speed is a property of the
-  // host, not the workload partition).
-  double ewma_ns_per_shard = 0;  ///< 0 = no sample yet
-  Clock::time_point last_complete{};
   std::uint64_t dispatched_micro = 0;  ///< micro-shards sent this run
 
   // Re-admission: one probe per run after the backoff.
@@ -163,7 +144,6 @@ ClusterRunner::ClusterRunner(ClusterOptions options)
   for (const std::string& address : options_.workers) {
     Conn conn;
     conn.stats.address = address;
-    conn.stats.window = std::max(1u, options_.window);
     if (!split_address(address, conn.host, conn.port)) {
       conn.healthy = false;
       conn.stats.last_error = "malformed worker address";
@@ -180,7 +160,6 @@ ClusterRunner::ClusterRunner(std::span<const int> fds, ClusterOptions options)
     conn.fd = fds[i];
     conn.state = Conn::State::ready;
     conn.stats.address = "shard " + std::to_string(i);
-    conn.stats.window = std::max(1u, options_.window);
   }
 }
 
@@ -211,8 +190,8 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
   unsigned shards = resolved_shards();
   if (options_.shards == 0 && items_hint > 0) {
     // Adaptive micro-shard count: enough small tasks that every worker's
-    // window refills several times (so the EWMA sizing has room to act),
-    // bounded by the workload's item count and the protocol ceiling.
+    // window refills several times, bounded by the workload's item count
+    // and the protocol ceiling.
     // Deliberately independent of the window depth: the micro-shard is
     // the unit of latency, so at a fixed grain a deeper window strictly
     // reduces the number of serialized round-trip generations per worker
@@ -226,10 +205,7 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
   HMDIV_OBS_SCOPED_TIMER("exec.cluster.run_ns");
   HMDIV_OBS_COUNT("exec.cluster.runs", 1);
   try {
-    std::vector<std::vector<std::uint8_t>> results =
-        dispatch(workload, blob, shards);
-    detail::set_cluster_worker_stats(worker_stats());
-    return results;
+    return dispatch(workload, blob, shards);
   } catch (...) {
     HMDIV_OBS_COUNT("exec.cluster.failures", 1);
     // Mid-task streams cannot be resynced; drop them so a later run
@@ -237,7 +213,6 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
     for (Conn& conn : conns_) {
       if (!conn.inflight.empty()) conn.close_fd();
     }
-    detail::set_cluster_worker_stats(worker_stats());
     throw;
   }
 }
@@ -281,11 +256,10 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::dispatch(
   // so the epilogue can walk the final partition in ascending order.
   std::vector<std::vector<std::uint8_t>> payloads(shards);
   std::vector<std::uint32_t> payload_span(shards, 0);
-  std::vector<std::size_t> last_conn(shards, conns_.size());
   std::string last_failure = "no worker reachable";
 
-  // Health, blob shipping, and re-admission are per-run; warm fds,
-  // cumulative stats, and the speed EWMA persist across runs.
+  // Health, blob shipping, and re-admission are per-run; warm fds and
+  // cumulative stats persist across runs.
   for (Conn& conn : conns_) {
     conn.healthy = local_ || !conn.host.empty();
     conn.blob_sent = false;
@@ -294,7 +268,6 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::dispatch(
     conn.readmitted_this_run = false;
     conn.connect_failed = false;
     conn.dispatched_micro = 0;
-    conn.stats.inflight = 0;
   }
 
   // Drops a worker: the frame stream cannot be resynced, so the fd
@@ -316,7 +289,6 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::dispatch(
     }
     conn.close_fd();
     conn.healthy = false;
-    conn.stats.inflight = 0;
     if (options_.readmit_after.count() > 0 && !conn.readmitted_this_run) {
       conn.readmit_armed = true;
       conn.readmit_at = Clock::now() + options_.readmit_after;
@@ -421,60 +393,38 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::dispatch(
     }
   };
 
-  // Adaptive task size: aim for window-many refills of everyone's window
-  // over the remaining work, scaled by this worker's observed speed
-  // relative to the fleet mean so fast workers pull bigger spans.
-  const auto task_size_for = [&](const Conn& conn) -> std::uint32_t {
+  // Task size, one fixed rule for every worker:
+  // clamp(ceil(pending / (active × window)), 1, max(1, shards / (active ×
+  // 16))), i.e. at most one window's worth of the remaining work per
+  // active worker. The cap keeps a span from swallowing a worker's whole
+  // share: a full-size task still leaves ~16 dispatches per active
+  // worker, so the window keeps refilling (RTT stays hidden behind queued
+  // tasks), a sidelined worker requeues small spans instead of one fat
+  // one, and the tail is never gated by a single oversized task. Workers
+  // still connecting count as active, so the first one up cannot pull
+  // oversized spans.
+  const auto task_size = [&]() -> std::uint32_t {
     std::uint64_t active = 0;
-    double speed_sum = 0;
-    std::uint64_t sampled = 0;
     for (const Conn& c : conns_) {
-      if (!c.healthy || c.state == Conn::State::closed) continue;
-      active += 1;
-      if (c.ewma_ns_per_shard > 0) {
-        speed_sum += 1.0 / c.ewma_ns_per_shard;
-        sampled += 1;
-      }
+      if (c.healthy && c.state != Conn::State::closed) active += 1;
     }
-    if (active == 0) active = 1;
-    double ratio = 1.0;
-    if (conn.ewma_ns_per_shard > 0 && sampled > 0) {
-      const double mean_speed = speed_sum / static_cast<double>(sampled);
-      ratio = std::clamp((1.0 / conn.ewma_ns_per_shard) / mean_speed, 0.25,
-                         4.0);
-    }
-    const double denom = static_cast<double>(active * window);
-    auto n = static_cast<std::uint64_t>(
-        std::ceil(static_cast<double>(pending_micro) * ratio / denom));
-    // Never let a span swallow a worker's whole remaining share: a fully
-    // grown task still leaves ~16 dispatches per active worker, so the
-    // window keeps refilling (RTT stays hidden behind queued tasks), a
-    // sidelined worker requeues small spans instead of one fat one, and
-    // the tail is never gated by a single oversized task.
-    const std::uint64_t cap = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(shards) / (active * 16));
-    n = std::clamp<std::uint64_t>(n, 1, cap);
-    return static_cast<std::uint32_t>(n);
+    active = std::max<std::uint64_t>(active, 1);
+    const std::uint64_t slots = active * window;  // fleet window slots
+    const std::uint64_t cap =
+        std::max<std::uint64_t>(1, shards / (active * 16));
+    return static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
+        (pending_micro + slots - 1) / slots, 1, cap));
   };
 
   const auto dispatch_one = [&](std::size_t index) {
     Conn& conn = conns_[index];
-    const std::uint32_t want = task_size_for(conn);
+    const std::uint32_t want = task_size();
     Span& front = pending.front();
     const std::uint32_t take = std::min(want, front.end - front.begin);
     const std::uint32_t start = front.begin;
     front.begin += take;
     if (front.begin == front.end) pending.pop_front();
     pending_micro -= take;
-    for (std::uint32_t s = start; s < start + take; ++s) {
-      if (last_conn[s] < conns_.size() && last_conn[s] != index) {
-        count("reassigned", 1);
-        break;
-      }
-    }
-    for (std::uint32_t s = start; s < start + take; ++s) {
-      last_conn[s] = index;
-    }
     wire::ShardTask task;
     task.workload = std::string(workload);
     task.shard_index = start;
@@ -495,35 +445,21 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::dispatch(
     if (conn.inflight.size() == 1) {
       conn.head_deadline = now + options_.task_deadline;
     }
-    conn.stats.inflight = static_cast<std::uint32_t>(conn.inflight.size());
-    conn.stats.task_size = take;
     record("inflight", conn.inflight.size());
     record("queue_depth", pending_micro);
     record("task_size", take);
   };
 
-  // While any connect/upgrade is still pending, cap each ready worker's
-  // cumulative dispatch at its fair share of micro-shards so the first
-  // worker up cannot drain the whole queue before the rest join; once
-  // the fleet has settled the cap lifts and windows fill freely.
-  bool startup_fairness = true;
+  // Keeps every ready worker's window full. A worker still connecting
+  // gets nothing until it is ready, and nothing waits for it: the window
+  // and the span cap bound what the first worker up can hold.
   const auto fill_windows = [&]() {
-    std::uint64_t active = 0;
-    for (const Conn& conn : conns_) {
-      if (conn.healthy && conn.state != Conn::State::closed) active += 1;
-    }
-    const std::uint64_t fair_share =
-        active == 0 ? shards : (shards + active - 1) / active;
-    for (;;) {
-      if (pending.empty()) return;
+    while (!pending.empty()) {
       std::size_t best = conns_.size();
       for (std::size_t i = 0; i < conns_.size(); ++i) {
         const Conn& conn = conns_[i];
         if (!conn.healthy || conn.state != Conn::State::ready) continue;
         if (conn.inflight.size() >= window) continue;
-        if (startup_fairness && conn.dispatched_micro >= fair_share) {
-          continue;
-        }
         // Shallowest window first; on ties the worker that has pulled
         // the least so far, so fresh joiners get work immediately.
         if (best == conns_.size() ||
@@ -541,7 +477,6 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::dispatch(
   const auto complete_head = [&](Conn& conn) {
     const Conn::Inflight head = conn.inflight.front();
     conn.inflight.pop_front();
-    conn.stats.inflight = static_cast<std::uint32_t>(conn.inflight.size());
     for (std::vector<std::uint8_t>& snapshot : conn.cur_obs) {
       try {
         obs::Registry::global().merge(obs::parse_snapshot(snapshot));
@@ -564,19 +499,6 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::dispatch(
     count("tasks", 1);
     const auto now = Clock::now();
     record("rpc_ns", elapsed_ns(head.dispatched, now));
-    // Service time excludes time the task spent queued behind its
-    // window-mates, so the EWMA measures worker speed, not pipeline depth.
-    const auto service_start = conn.last_complete > head.dispatched
-                                   ? conn.last_complete
-                                   : head.dispatched;
-    const double per_shard =
-        static_cast<double>(elapsed_ns(service_start, now)) /
-        static_cast<double>(head.span);
-    conn.ewma_ns_per_shard = conn.ewma_ns_per_shard == 0
-                                 ? per_shard
-                                 : 0.3 * per_shard +
-                                       0.7 * conn.ewma_ns_per_shard;
-    conn.last_complete = now;
     if (!conn.inflight.empty()) {
       conn.head_deadline = now + options_.task_deadline;
     }
@@ -653,18 +575,6 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::dispatch(
         conn.healthy = true;
         start_connect(conn);
       }
-    }
-
-    if (startup_fairness) {
-      bool pending_conn = false;
-      for (const Conn& conn : conns_) {
-        if (conn.state == Conn::State::connecting ||
-            conn.state == Conn::State::upgrading) {
-          pending_conn = true;
-          break;
-        }
-      }
-      if (!pending_conn) startup_fairness = false;
     }
 
     fill_windows();
@@ -884,19 +794,5 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::dispatch(
   }
   return results;
 }
-
-std::vector<ClusterWorkerStats> cluster_worker_stats() {
-  const std::lock_guard<std::mutex> lock(stats_mutex());
-  return stats_store();
-}
-
-namespace detail {
-
-void set_cluster_worker_stats(std::vector<ClusterWorkerStats> stats) {
-  const std::lock_guard<std::mutex> lock(stats_mutex());
-  stats_store() = std::move(stats);
-}
-
-}  // namespace detail
 
 }  // namespace hmdiv::exec

@@ -21,10 +21,12 @@
 // ClusterOptions::window tasks in flight per connection, matching replies
 // FIFO via per-task done frames — the next task's bytes are on the wire
 // while the worker computes the current one, so network RTT hides behind
-// compute. Task sizes adapt per worker from an EWMA of observed service
-// time, so fast workers pull bigger spans and stragglers stop gating the
-// tail. The workload config blob ships once per connection (the session
-// caches it; follow-up tasks set blob_cached).
+// compute. Every task's span follows one fixed rule of the remaining
+// work, the live worker count and the window (see dispatch()), so a fast
+// worker pulls more tasks, not bigger ones, and no task is big enough to
+// gate the tail. A ready worker never waits for one still connecting. The
+// workload config blob ships once per connection (the session caches it;
+// follow-up tasks set blob_cached).
 //
 // Transport: one warm TCP connection per worker (kept across run() calls,
 // so a profiling pipeline pays the connect + NDJSON upgrade handshake
@@ -76,9 +78,7 @@ struct ClusterOptions {
   std::chrono::milliseconds readmit_after{1'000};
 };
 
-/// Per-worker tallies, cumulative across a runner's lifetime except where
-/// noted. The serve `metrics` endpoint renders the most recent runner's
-/// array (see cluster_worker_stats()).
+/// Per-worker tallies, cumulative across a runner's lifetime.
 struct ClusterWorkerStats {
   std::string address;        ///< endpoint as configured
   std::uint64_t tasks = 0;    ///< tasks completed here
@@ -86,9 +86,6 @@ struct ClusterWorkerStats {
   std::uint64_t bytes_in = 0;   ///< reply bytes drained from it
   std::uint64_t retries = 0;  ///< tasks abandoned here and re-issued
   std::uint64_t readmitted = 0;  ///< times sidelined then re-admitted
-  std::uint32_t inflight = 0;   ///< tasks in flight right now
-  std::uint32_t window = 0;     ///< configured pipelining depth
-  std::uint32_t task_size = 0;  ///< micro-shards in the latest task
   std::string last_error;     ///< most recent transport failure, if any
 };
 
@@ -153,16 +150,5 @@ class ClusterRunner {
   std::vector<Conn> conns_;
   bool local_ = false;
 };
-
-/// Latest per-worker stats published by any ClusterRunner in this process
-/// (updated after every run). The serve `metrics` endpoint renders these
-/// as its `workers` array; empty when no cluster run has happened.
-[[nodiscard]] std::vector<ClusterWorkerStats> cluster_worker_stats();
-
-namespace detail {
-/// Publishes `stats` as the process-global cluster worker array (runner
-/// epilogue and tests).
-void set_cluster_worker_stats(std::vector<ClusterWorkerStats> stats);
-}  // namespace detail
 
 }  // namespace hmdiv::exec

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "core/model_io.hpp"
-#include "exec/cluster.hpp"
 #include "exec/config.hpp"
 #include "exec/workspace.hpp"
 #include "stats/rng.hpp"
@@ -298,12 +297,11 @@ Service::Service(core::SequentialModel model, core::DemandProfile trial,
              options.max_queue}),
       started_(Clock::now()),
       state_(build_loaded(std::move(model), std::move(trial),
-                          std::move(field))) {
-  whatif_cache_.set_capacity(options_.whatif_cache_capacity);
-  sweep_cache_.set_capacity(options_.sweep_cache_capacity);
-  minimise_cache_.set_capacity(options_.minimise_cache_capacity);
-  uq_cache_.set_capacity(options_.uq_cache_capacity);
-
+                          std::move(field))),
+      whatif_cache_(options.whatif_cache_capacity),
+      sweep_cache_(options.sweep_cache_capacity),
+      minimise_cache_(options.minimise_cache_capacity),
+      uq_cache_(options.uq_cache_capacity) {
   // Pre-register every endpoint metric so the hot path bumps cached
   // pointers instead of hitting the registry's name lookup per request.
   obs::Registry& registry = obs::Registry::global();
@@ -943,38 +941,6 @@ void Service::handle_metrics(const Loaded*, const Parsed&, RequestScratch&,
     out += '}';
   }
   out += '}';
-  // Per-worker cluster stats (DESIGN.md §15): empty until this process
-  // has coordinated a cluster run. Addresses are operator-supplied
-  // strings, so they go through the escaper like any other input.
-  const std::vector<exec::ClusterWorkerStats> workers =
-      exec::cluster_worker_stats();
-  out += ",\"workers\":[";
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const exec::ClusterWorkerStats& w = workers[i];
-    if (i != 0) out += ',';
-    out += "{\"address\":\"";
-    append_json_escaped(out, w.address);
-    out += "\",\"tasks\":";
-    append_json_uint(out, w.tasks);
-    out += ",\"bytes_out\":";
-    append_json_uint(out, w.bytes_out);
-    out += ",\"bytes_in\":";
-    append_json_uint(out, w.bytes_in);
-    out += ",\"retries\":";
-    append_json_uint(out, w.retries);
-    out += ",\"readmitted\":";
-    append_json_uint(out, w.readmitted);
-    out += ",\"inflight\":";
-    append_json_uint(out, w.inflight);
-    out += ",\"window\":";
-    append_json_uint(out, w.window);
-    out += ",\"task_size\":";
-    append_json_uint(out, w.task_size);
-    out += ",\"last_error\":\"";
-    append_json_escaped(out, w.last_error);
-    out += "\"}";
-  }
-  out += ']';
 }
 
 void Service::handle_reload(const Loaded*, const Parsed& request,

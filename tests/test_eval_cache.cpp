@@ -1,6 +1,6 @@
 // Tests for core::EvalCache — the keyed memoisation cache shared across
 // concurrent serve requests. Covers the single-threaded contract (exact
-// keying, FIFO eviction, capacity semantics, clear) and the concurrent
+// keying, FIFO eviction, the fixed capacity, clear) and the concurrent
 // hit/miss surface the serve layer exercises: these tests run under the
 // ThreadSanitizer CI job (regex `EvalCache`), which is what pins the
 // absence of data races / torn reads in the sharded lookup path.
@@ -35,8 +35,7 @@ TEST(EvalCache, DisabledByDefault) {
 }
 
 TEST(EvalCache, ExactKeyLookup) {
-  Cache cache;
-  cache.set_capacity(4);
+  Cache cache(4);
   cache.insert(key_of(1, 2), 12.0);
   ASSERT_TRUE(cache.find(key_of(1, 2)).has_value());
   EXPECT_EQ(*cache.find(key_of(1, 2)), 12.0);
@@ -49,8 +48,7 @@ TEST(EvalCache, ExactKeyLookup) {
 }
 
 TEST(EvalCache, SpanAndVectorKeysAgree) {
-  Cache cache;
-  cache.set_capacity(4);
+  Cache cache(4);
   const std::vector<double> key = key_of(3, 4);
   cache.insert(std::span<const double>(key), 34.0);
   EXPECT_EQ(*cache.find(key), 34.0);
@@ -60,8 +58,7 @@ TEST(EvalCache, SpanAndVectorKeysAgree) {
 TEST(EvalCache, SmallCapacityEvictsFifo) {
   // Below kSegments everything lives in one segment, so eviction order is
   // exactly global FIFO — the order the pre-sharding cache guaranteed.
-  Cache cache;
-  cache.set_capacity(2);
+  Cache cache(2);
   cache.insert(key_of(1), 1.0);
   cache.insert(key_of(2), 2.0);
   cache.insert(key_of(3), 3.0);
@@ -71,32 +68,9 @@ TEST(EvalCache, SmallCapacityEvictsFifo) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(EvalCache, ShrinkKeepsNewestEntries) {
-  Cache cache;
-  cache.set_capacity(4);
-  for (int i = 0; i < 4; ++i) cache.insert(key_of(i), i);
-  cache.set_capacity(2);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.find(key_of(0)).has_value());
-  EXPECT_FALSE(cache.find(key_of(1)).has_value());
-  EXPECT_TRUE(cache.find(key_of(2)).has_value());
-  EXPECT_TRUE(cache.find(key_of(3)).has_value());
-}
-
-TEST(EvalCache, CapacityZeroDropsEverything) {
-  Cache cache;
-  cache.set_capacity(4);
-  cache.insert(key_of(1), 1.0);
-  cache.set_capacity(0);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.enabled());
-  EXPECT_FALSE(cache.find(key_of(1)).has_value());
-}
-
 TEST(EvalCache, LargeCapacityIsShardedButBounded) {
-  Cache cache;
   const std::size_t capacity = 64;
-  cache.set_capacity(capacity);
+  Cache cache(capacity);
   for (int i = 0; i < 1000; ++i) cache.insert(key_of(i), i);
   EXPECT_LE(cache.size(), capacity);
   EXPECT_GE(cache.size(), capacity / 2);  // segments fill evenly-ish
@@ -111,20 +85,8 @@ TEST(EvalCache, LargeCapacityIsShardedButBounded) {
   EXPECT_GT(hits, 0u);
 }
 
-TEST(EvalCache, GrowAcrossLayoutBoundaryKeepsEntries) {
-  Cache cache;
-  cache.set_capacity(4);  // single-segment layout
-  for (int i = 0; i < 4; ++i) cache.insert(key_of(i), i);
-  cache.set_capacity(64);  // sharded layout: all four must survive
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(cache.find(key_of(i)).has_value()) << i;
-    EXPECT_EQ(*cache.find(key_of(i)), static_cast<double>(i));
-  }
-}
-
 TEST(EvalCache, ClearEmptiesButKeepsCapacity) {
-  Cache cache;
-  cache.set_capacity(8);
+  Cache cache(8);
   cache.insert(key_of(1), 1.0);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
@@ -135,8 +97,7 @@ TEST(EvalCache, ClearEmptiesButKeepsCapacity) {
 }
 
 TEST(EvalCache, SpanHitPathDoesNotAllocate) {
-  Cache cache;
-  cache.set_capacity(16);
+  Cache cache(16);
   std::vector<double> key = key_of(7, 9);
   cache.insert(key, 79.0);
   // Warm once (first probe may fault in nothing, but keep the pattern of
@@ -152,13 +113,12 @@ TEST(EvalCache, SpanHitPathDoesNotAllocate) {
 }
 
 // The serve layer's sharing pattern: many threads issuing a mix of hits,
-// misses and inserts against one cache, while another thread resizes and
-// clears it (model reload). Values are a pure function of the key, so any
+// misses and inserts against one cache, while another thread clears it
+// (model reload). Values are a pure function of the key, so any
 // torn read or cross-key aliasing surfaces as a wrong value; TSan covers
 // the data-race side.
 TEST(EvalCache, ConcurrentHitMissInsertIsRaceFree) {
-  Cache cache;
-  cache.set_capacity(64);
+  Cache cache(64);
   constexpr int kThreads = 4;
   constexpr int kOps = 4000;
   std::atomic<std::uint64_t> hits{0};
@@ -185,11 +145,9 @@ TEST(EvalCache, ConcurrentHitMissInsertIsRaceFree) {
   }
   threads.emplace_back([&cache] {
     for (int i = 0; i < 200; ++i) {
-      cache.set_capacity(i % 2 == 0 ? 16 : 64);
-      if (i % 50 == 49) cache.clear();
+      if (i % 10 == 9) cache.clear();
       std::this_thread::yield();
     }
-    cache.set_capacity(64);
   });
   for (auto& thread : threads) thread.join();
 
