@@ -14,9 +14,12 @@
 // concurrent requests for different keys contend only when they land in
 // the same segment (audited for the serve layer's cross-request sharing;
 // the single global mutex it replaces serialised every hit). The capacity,
-// and so the layout, is fixed at construction; clear() takes each segment
-// lock in turn, so a find() racing it can miss (and recompute), never
-// read torn data.
+// and so the layout, is fixed at construction.
+//
+// Lifetime: there is no clear(). Values are keyed by request inputs only,
+// so a cache must not outlive the model its values were computed from.
+// The serve layer keeps one set of caches in each model snapshot and drops
+// them with it on reload (DESIGN.md §13).
 //
 // Semantics:
 //  - capacity 0 (the default) disables the cache entirely; callers that
@@ -73,16 +76,6 @@ class EvalCache {
 
   /// True when the capacity is nonzero; find/insert are no-ops otherwise.
   [[nodiscard]] bool enabled() const { return capacity_ > 0; }
-
-  /// Drops every entry (capacity is kept). The serve layer calls this on
-  /// model reload: results keyed by scenario inputs would otherwise leak
-  /// stale answers computed against the previous model.
-  void clear() {
-    for (Segment& segment : segments_) {
-      const std::lock_guard<std::mutex> lock(segment.mutex);
-      segment.entries.clear();
-    }
-  }
 
   /// Total entries currently memoised.
   [[nodiscard]] std::size_t size() const {

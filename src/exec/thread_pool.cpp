@@ -180,13 +180,14 @@ void ThreadPool::run_indexed(std::size_t count, unsigned max_threads,
   // runs all of the indices itself.
   tl_in_job = true;
 #if HMDIV_OBS
+  std::chrono::steady_clock::time_point own_done;
   if (job.timed) {
     static obs::Histogram& caller_busy =
         obs::Registry::global().histogram("exec.pool.caller_busy_ns");
     const auto started = std::chrono::steady_clock::now();
     execute(job);
-    caller_busy.record(
-        elapsed_ns(started, std::chrono::steady_clock::now()));
+    own_done = std::chrono::steady_clock::now();
+    caller_busy.record(elapsed_ns(started, own_done));
   } else {
     execute(job);
   }
@@ -200,6 +201,16 @@ void ThreadPool::run_indexed(std::size_t count, unsigned max_threads,
     unlink(job);  // Late helpers can no longer join a finished job.
     job.helpers_done.wait(lock, [&job] { return job.active_helpers == 0; });
   }
+#if HMDIV_OBS
+  // How long the caller sat idle after its own indices ran out, waiting
+  // for helpers still inside a chunk (a preempted helper shows up here).
+  if (job.timed) {
+    static obs::Histogram& caller_wait =
+        obs::Registry::global().histogram("exec.pool.caller_wait_ns");
+    caller_wait.record(
+        elapsed_ns(own_done, std::chrono::steady_clock::now()));
+  }
+#endif
   if (job.failed.load(std::memory_order_relaxed)) {
     std::rethrow_exception(job.error);
   }

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "core/eval_cache.hpp"
 #include "core/model_io.hpp"
 #include "exec/config.hpp"
 #include "exec/workspace.hpp"
@@ -169,17 +170,17 @@ void append_operating_point(std::string& out,
 const std::array<Service::EndpointEntry, Service::kEndpointCount>&
 Service::endpoint_table() {
   static const std::array<EndpointEntry, kEndpointCount> kTable = {{
-      // name, handler, compute, needs_state, cached
-      {"analyze", &Service::handle_analyze, true, true, false},
-      {"whatif", &Service::handle_whatif, true, true, true},
-      {"sweep", &Service::handle_sweep, true, true, true},
-      {"minimise", &Service::handle_minimise, true, true, true},
-      {"uq", &Service::handle_uq, true, true, true},
-      {"compare", &Service::handle_compare, true, true, false},
-      {"health", &Service::handle_health, false, true, false},
-      {"metrics", &Service::handle_metrics, false, false, false},
-      {"reload", &Service::handle_reload, false, false, false},
-      {"shard", &Service::handle_shard, false, false, false},
+      // name, handler, compute, cached
+      {"analyze", &Service::handle_analyze, true, false},
+      {"whatif", &Service::handle_whatif, true, true},
+      {"sweep", &Service::handle_sweep, true, true},
+      {"minimise", &Service::handle_minimise, true, true},
+      {"uq", &Service::handle_uq, true, true},
+      {"compare", &Service::handle_compare, true, false},
+      {"health", &Service::handle_health, false, false},
+      {"metrics", &Service::handle_metrics, false, false},
+      {"reload", &Service::handle_reload, false, false},
+      {"shard", &Service::handle_shard, false, false},
   }};
   return kTable;
 }
@@ -251,9 +252,10 @@ namespace {
 
 }  // namespace
 
-// The derived engines are constructed in place (Extrapolator and
-// TradeoffAnalyzer carry mutex-bearing caches, so they are deliberately
-// immovable); the ctor copies from the already-moved-in model/profiles.
+// Loaded is immovable (each EvalCache holds its segment mutexes), so it
+// is built in place; the engines copy from the already-moved-in model and
+// profiles. `epoch` is set by reload under loaded_mutex_, before the
+// snapshot is published.
 struct Service::Loaded {
   core::SequentialModel model;
   core::DemandProfile trial;
@@ -261,21 +263,30 @@ struct Service::Loaded {
   core::Extrapolator extrapolator;
   core::TradeoffAnalyzer analyzer;
   core::PosteriorModelSampler sampler;
+  std::uint64_t epoch = 1;
+  mutable core::EvalCache<WhatifNumbers> whatif_cache;
+  mutable core::EvalCache<SweepSummary> sweep_cache;
+  mutable core::EvalCache<MinimiseNumbers> minimise_cache;
+  mutable core::EvalCache<UqNumbers> uq_cache;
 
   Loaded(core::SequentialModel model_in, core::DemandProfile trial_in,
-         core::DemandProfile field_in)
+         core::DemandProfile field_in, const ServiceOptions& options)
       : model(std::move(model_in)),
         trial(std::move(trial_in)),
         field(std::move(field_in)),
         extrapolator(model, trial),
         analyzer(machine_for(model), field, fn_response_for(model), field,
                  fp_response_for(model), /*prevalence=*/0.007),
-        sampler(model.class_names(), synthetic_counts_for(model)) {}
+        sampler(model.class_names(), synthetic_counts_for(model)),
+        whatif_cache(options.whatif_cache_capacity),
+        sweep_cache(options.sweep_cache_capacity),
+        minimise_cache(options.minimise_cache_capacity),
+        uq_cache(options.uq_cache_capacity) {}
 };
 
-std::unique_ptr<Service::Loaded> Service::build_loaded(
+std::shared_ptr<Service::Loaded> Service::build_loaded(
     core::SequentialModel model, core::DemandProfile trial,
-    core::DemandProfile field) {
+    core::DemandProfile field) const {
   if (!model.compatible_with(trial)) {
     throw std::invalid_argument(
         "trial profile is not defined over the model's classes");
@@ -284,8 +295,8 @@ std::unique_ptr<Service::Loaded> Service::build_loaded(
     throw std::invalid_argument(
         "field profile is not defined over the model's classes");
   }
-  return std::make_unique<Loaded>(std::move(model), std::move(trial),
-                                  std::move(field));
+  return std::make_shared<Loaded>(std::move(model), std::move(trial),
+                                  std::move(field), options_);
 }
 
 Service::Service(core::SequentialModel model, core::DemandProfile trial,
@@ -296,12 +307,8 @@ Service::Service(core::SequentialModel model, core::DemandProfile trial,
                  : std::max(1u, std::thread::hardware_concurrency()),
              options.max_queue}),
       started_(Clock::now()),
-      state_(build_loaded(std::move(model), std::move(trial),
-                          std::move(field))),
-      whatif_cache_(options.whatif_cache_capacity),
-      sweep_cache_(options.sweep_cache_capacity),
-      minimise_cache_(options.minimise_cache_capacity),
-      uq_cache_(options.uq_cache_capacity) {
+      loaded_(build_loaded(std::move(model), std::move(trial),
+                           std::move(field))) {
   // Pre-register every endpoint metric so the hot path bumps cached
   // pointers instead of hitting the registry's name lookup per request.
   obs::Registry& registry = obs::Registry::global();
@@ -322,24 +329,21 @@ Service::Service(core::SequentialModel model, core::DemandProfile trial,
 
 Service::~Service() = default;
 
-void Service::clear_caches() {
-  whatif_cache_.clear();
-  sweep_cache_.clear();
-  minimise_cache_.clear();
-  uq_cache_.clear();
-}
-
-void Service::reload(core::SequentialModel model, core::DemandProfile trial,
-                     core::DemandProfile field) {
-  // Build outside the lock (may throw; current state stays untouched).
-  std::unique_ptr<Loaded> next =
+std::shared_ptr<const Service::Loaded> Service::reload(
+    core::SequentialModel model, core::DemandProfile trial,
+    core::DemandProfile field) {
+  // Build outside the lock (may throw; the live snapshot stays untouched).
+  const std::shared_ptr<Loaded> next =
       build_loaded(std::move(model), std::move(trial), std::move(field));
-  const std::unique_lock<std::shared_mutex> lock(state_mutex_);
-  state_ = std::move(next);
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  // Under the exclusive lock no request can be mid-insert (all cache
-  // traffic happens under the shared lock), so no stale value survives.
-  clear_caches();
+  std::shared_ptr<const Loaded> previous;
+  {
+    const std::lock_guard<std::mutex> lock(loaded_mutex_);
+    next->epoch = loaded_->epoch + 1;
+    previous = std::exchange(loaded_, next);
+  }
+  // `previous` drops here, outside the lock; requests still running on it
+  // keep it (and its caches) alive until they finish.
+  return next;
 }
 
 // --- Request dispatch ---------------------------------------------------
@@ -416,34 +420,29 @@ void Service::validate_request(Parsed& request) const {
 void Service::execute_inline(const Parsed& request, RequestScratch& scratch,
                              std::string& out) {
   const EndpointEntry& entry = endpoint_table()[request.ep];
-  if (!entry.compute) {
-    if (entry.needs_state) {
-      const std::shared_lock<std::shared_mutex> lock(state_mutex_);
-      begin_result(out, request.id);
-      (this->*entry.handler)(state_.get(), request, scratch, out);
-      end_result(out);
-    } else {
-      begin_result(out, request.id);
-      (this->*entry.handler)(nullptr, request, scratch, out);
-      end_result(out);
-    }
-    return;
-  }
   // Compute endpoints go through admission control.
-  const AdmissionTicket ticket(gate_, request.deadline);
-  if (ticket.outcome() == AdmissionGate::Outcome::kShedQueueFull) {
-    if (obs::enabled()) metrics_[request.ep].shed->add(1);
-    write_error_line(out, request.id, "shed",
-                     "admission queue full; retry later");
-    return;
+  std::optional<AdmissionTicket> ticket;
+  if (entry.compute) {
+    ticket.emplace(gate_, request.deadline);
+    if (ticket->outcome() == AdmissionGate::Outcome::kShedQueueFull) {
+      if (obs::enabled()) metrics_[request.ep].shed->add(1);
+      write_error_line(out, request.id, "shed",
+                       "admission queue full; retry later");
+      return;
+    }
+    if (ticket->outcome() == AdmissionGate::Outcome::kDeadlineExceeded) {
+      throw RequestError{kDeadlineExceeded, "deadline expired while queued"};
+    }
+    check_deadline(request.deadline);
   }
-  if (ticket.outcome() == AdmissionGate::Outcome::kDeadlineExceeded) {
-    throw RequestError{kDeadlineExceeded, "deadline expired while queued"};
+  // The request's own copy keeps its snapshot alive past a reload.
+  std::shared_ptr<const Loaded> state;
+  {
+    const std::lock_guard<std::mutex> lock(loaded_mutex_);
+    state = loaded_;
   }
-  check_deadline(request.deadline);
-  const std::shared_lock<std::shared_mutex> lock(state_mutex_);
   begin_result(out, request.id);
-  (this->*entry.handler)(state_.get(), request, scratch, out);
+  (this->*entry.handler)(*state, request, scratch, out);
   end_result(out);
 }
 
@@ -487,9 +486,8 @@ void Service::handle_line(std::string_view line, RequestScratch& scratch,
 
 // --- Endpoint handlers --------------------------------------------------
 
-void Service::handle_analyze(const Loaded* state_ptr, const Parsed&,
+void Service::handle_analyze(const Loaded& state, const Parsed&,
                              RequestScratch&, std::string& out) {
-  const Loaded& state = *state_ptr;
   const core::FailureDecomposition decomposition =
       state.model.decompose(state.field);
   out += "\"classes\":";
@@ -566,7 +564,7 @@ Service::WhatifNumbers Service::compute_whatif(const Loaded& state,
   }
 
   if (const std::optional<WhatifNumbers> hit =
-          whatif_cache_.find(std::span<const double>(scratch.key))) {
+          state.whatif_cache.find(std::span<const double>(scratch.key))) {
     cached = true;
     if (obs_on) metrics_[kWhatif].cache_hit->add(1);
     return *hit;
@@ -587,7 +585,7 @@ Service::WhatifNumbers Service::compute_whatif(const Loaded& state,
                               result.decomposition.floor,
                               result.decomposition.mean_field,
                               result.decomposition.covariance};
-  whatif_cache_.insert(std::span<const double>(scratch.key), numbers);
+  state.whatif_cache.insert(std::span<const double>(scratch.key), numbers);
   return numbers;
 }
 
@@ -609,18 +607,17 @@ void Service::append_whatif_body(std::string& out,
   out += cached ? "true" : "false";
 }
 
-void Service::handle_whatif(const Loaded* state, const Parsed& request,
+void Service::handle_whatif(const Loaded& state, const Parsed& request,
                             RequestScratch& scratch, std::string& out) {
   bool cached = false;
   const WhatifNumbers numbers = compute_whatif(
-      *state, request.params != nullptr ? *request.params : kEmptyParams,
+      state, request.params != nullptr ? *request.params : kEmptyParams,
       scratch, cached);
   append_whatif_body(out, numbers, cached);
 }
 
-void Service::handle_sweep(const Loaded* state_ptr, const Parsed& request,
+void Service::handle_sweep(const Loaded& state, const Parsed& request,
                            RequestScratch& scratch, std::string& out) {
-  const Loaded& state = *state_ptr;
   const Clock::time_point deadline = request.deadline;
   const bool obs_on = obs::enabled();
   const JsonValue& p =
@@ -641,7 +638,7 @@ void Service::handle_sweep(const Loaded* state_ptr, const Parsed& request,
 
   bool cached = true;
   std::optional<SweepSummary> summary =
-      sweep_cache_.find(std::span<const double>(scratch.key));
+      state.sweep_cache.find(std::span<const double>(scratch.key));
   if (obs_on) {
     (summary ? metrics_[kSweep].cache_hit : metrics_[kSweep].cache_miss)
         ->add(1);
@@ -669,7 +666,7 @@ void Service::handle_sweep(const Loaded* state_ptr, const Parsed& request,
       const std::size_t index = j * (steps - 1) / (points - 1);
       built.points[j] = curve[index];
     }
-    sweep_cache_.insert(std::span<const double>(scratch.key), built);
+    state.sweep_cache.insert(std::span<const double>(scratch.key), built);
     summary = built;
   }
 
@@ -688,9 +685,8 @@ void Service::handle_sweep(const Loaded* state_ptr, const Parsed& request,
   out += cached ? "true" : "false";
 }
 
-void Service::handle_minimise(const Loaded* state_ptr, const Parsed& request,
+void Service::handle_minimise(const Loaded& state, const Parsed& request,
                               RequestScratch& scratch, std::string& out) {
-  const Loaded& state = *state_ptr;
   const Clock::time_point deadline = request.deadline;
   const bool obs_on = obs::enabled();
   const JsonValue& p =
@@ -715,7 +711,7 @@ void Service::handle_minimise(const Loaded* state_ptr, const Parsed& request,
 
   bool cached = true;
   std::optional<MinimiseNumbers> best =
-      minimise_cache_.find(std::span<const double>(scratch.key));
+      state.minimise_cache.find(std::span<const double>(scratch.key));
   if (obs_on) {
     (best ? metrics_[kMinimise].cache_hit : metrics_[kMinimise].cache_miss)
         ->add(1);
@@ -737,7 +733,7 @@ void Service::handle_minimise(const Loaded* state_ptr, const Parsed& request,
       }
     }
     best = MinimiseNumbers{folded.point, folded.cost};
-    minimise_cache_.insert(std::span<const double>(scratch.key), *best);
+    state.minimise_cache.insert(std::span<const double>(scratch.key), *best);
   }
 
   out += "\"best\":";
@@ -750,9 +746,8 @@ void Service::handle_minimise(const Loaded* state_ptr, const Parsed& request,
   out += cached ? "true" : "false";
 }
 
-void Service::handle_uq(const Loaded* state_ptr, const Parsed& request,
+void Service::handle_uq(const Loaded& state, const Parsed& request,
                         RequestScratch& scratch, std::string& out) {
-  const Loaded& state = *state_ptr;
   const Clock::time_point deadline = request.deadline;
   const bool obs_on = obs::enabled();
   const JsonValue& p =
@@ -775,7 +770,7 @@ void Service::handle_uq(const Loaded* state_ptr, const Parsed& request,
 
   bool cached = true;
   std::optional<UqNumbers> numbers =
-      uq_cache_.find(std::span<const double>(scratch.key));
+      state.uq_cache.find(std::span<const double>(scratch.key));
   if (obs_on) {
     (numbers ? metrics_[kUq].cache_hit : metrics_[kUq].cache_miss)->add(1);
   }
@@ -788,7 +783,7 @@ void Service::handle_uq(const Loaded* state_ptr, const Parsed& request,
         exec::Config{options_.compute_threads});
     numbers = UqNumbers{prediction.mean, prediction.lower, prediction.upper,
                         prediction.stddev};
-    uq_cache_.insert(std::span<const double>(scratch.key), *numbers);
+    state.uq_cache.insert(std::span<const double>(scratch.key), *numbers);
   }
 
   out += "\"mean\":";
@@ -807,9 +802,8 @@ void Service::handle_uq(const Loaded* state_ptr, const Parsed& request,
   out += cached ? "true" : "false";
 }
 
-void Service::handle_compare(const Loaded* state_ptr, const Parsed& request,
+void Service::handle_compare(const Loaded& state, const Parsed& request,
                              RequestScratch& scratch, std::string& out) {
-  const Loaded& state = *state_ptr;
   const JsonValue* params = request.params;
   if (params == nullptr) {
     throw RequestError{kBadRequest, "params.scenarios is required"};
@@ -882,14 +876,14 @@ void Service::handle_compare(const Loaded* state_ptr, const Parsed& request,
   out += ']';
 }
 
-void Service::handle_health(const Loaded* state, const Parsed&,
+void Service::handle_health(const Loaded& state, const Parsed&,
                             RequestScratch&, std::string& out) {
   out += "\"status\":\"";
   out += draining() ? "draining" : "ok";
   out += "\",\"epoch\":";
-  append_json_uint(out, epoch());
+  append_json_uint(out, state.epoch);
   out += ",\"classes\":";
-  append_json_uint(out, state->model.class_count());
+  append_json_uint(out, state.model.class_count());
   out += ",\"uptime_ms\":";
   append_json_uint(out, static_cast<std::uint64_t>(
                             std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -901,7 +895,7 @@ void Service::handle_health(const Loaded* state, const Parsed&,
   append_json_uint(out, gate_.queued());
 }
 
-void Service::handle_metrics(const Loaded*, const Parsed&, RequestScratch&,
+void Service::handle_metrics(const Loaded&, const Parsed&, RequestScratch&,
                              std::string& out) {
   const obs::Snapshot snapshot = obs::registry_snapshot();
   out += "\"enabled\":";
@@ -943,7 +937,7 @@ void Service::handle_metrics(const Loaded*, const Parsed&, RequestScratch&,
   out += '}';
 }
 
-void Service::handle_reload(const Loaded*, const Parsed& request,
+void Service::handle_reload(const Loaded&, const Parsed& request,
                             RequestScratch&, std::string& out) {
   const JsonValue* params = request.params;
   if (params == nullptr) {
@@ -966,15 +960,15 @@ void Service::handle_reload(const Loaded*, const Parsed& request,
       core::parse_demand_profile(std::string(trial_text->string()));
   core::DemandProfile field =
       core::parse_demand_profile(std::string(field_text->string()));
-  reload(std::move(model), std::move(trial), std::move(field));
-  const std::shared_lock<std::shared_mutex> lock(state_mutex_);
+  const std::shared_ptr<const Loaded> next =
+      reload(std::move(model), std::move(trial), std::move(field));
   out += "\"epoch\":";
-  append_json_uint(out, epoch());
+  append_json_uint(out, next->epoch);
   out += ",\"classes\":";
-  append_json_uint(out, state_->model.class_count());
+  append_json_uint(out, next->model.class_count());
 }
 
-void Service::handle_shard(const Loaded*, const Parsed&,
+void Service::handle_shard(const Loaded&, const Parsed&,
                            RequestScratch& scratch, std::string& out) {
   // The upgrade handshake (DESIGN.md §15): acknowledge, then flag the
   // connection so the socket server stops reading lines and flips it into

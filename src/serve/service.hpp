@@ -20,11 +20,12 @@
 //  * Compute endpoints pass through the AdmissionGate (bounded queue +
 //    deadline wait); health/metrics/reload bypass it so the daemon stays
 //    observable under overload.
-//  * Model state (model, profiles, derived engines) lives behind a
-//    shared_mutex with an epoch counter. `reload` swaps in a new bundle
-//    under the exclusive lock, bumps the epoch and clears every result
-//    cache — cached values are keyed by request inputs only and would
-//    otherwise leak answers computed against the previous model.
+//  * Model state (model, profiles, derived engines, epoch and the result
+//    caches) is one immutable snapshot per epoch. A request copies the
+//    snapshot pointer once and runs with no service lock held; `reload`
+//    builds the next snapshot, with empty caches, and swaps the pointer.
+//    A cached value is keyed by request inputs only, so it lives in the
+//    snapshot of the model it was computed from and dies with it.
 //
 // Metrics: serve.<ep>.requests / .errors / .shed counters and a
 // serve.<ep>.ns histogram per endpoint, plus serve.<ep>.cache_hit/_miss
@@ -42,14 +43,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/demand_profile.hpp"
-#include "core/eval_cache.hpp"
 #include "core/extrapolation.hpp"
 #include "core/sequential_model.hpp"
 #include "core/tradeoff.hpp"
@@ -96,6 +96,11 @@ struct RequestScratch {
 };
 
 class Service {
+  /// One epoch's snapshot: everything derived from one (model, trial,
+  /// field) triple plus the result caches computed against it. Never
+  /// changed once published; reload replaces it whole.
+  struct Loaded;
+
  public:
   using Clock = std::chrono::steady_clock;
 
@@ -111,15 +116,13 @@ class Service {
   void handle_line(std::string_view line, RequestScratch& scratch,
                    std::string& out);
 
-  /// Atomically replaces the model bundle, clears every result cache and
-  /// bumps the epoch. Throws std::invalid_argument on incompatible inputs
-  /// (the current state is untouched).
-  void reload(core::SequentialModel model, core::DemandProfile trial,
-              core::DemandProfile field);
-
-  [[nodiscard]] std::uint64_t epoch() const {
-    return epoch_.load(std::memory_order_acquire);
-  }
+  /// Publishes a snapshot of the new model at the next epoch, with empty
+  /// result caches, and returns it. Requests already running finish on
+  /// the snapshot they started with. Throws std::invalid_argument on
+  /// incompatible inputs (the current snapshot stays live).
+  std::shared_ptr<const Loaded> reload(core::SequentialModel model,
+                                       core::DemandProfile trial,
+                                       core::DemandProfile field);
 
   /// Flagged by the server during shutdown; `health` reports it so load
   /// balancers can drain before the listener disappears.
@@ -147,11 +150,6 @@ class Service {
     kShard,
     kEndpointCount,
   };
-
-  /// Everything derived from one (model, trial, field) triple; rebuilt
-  /// whole on reload so readers under the shared lock never see a
-  /// half-updated bundle.
-  struct Loaded;
 
   struct EndpointMetrics {
     obs::Counter* requests = nullptr;
@@ -201,9 +199,8 @@ class Service {
   };
 
   /// Uniform handler shape: append the `"result":{...}` payload body for
-  /// one request. `state` is null only for endpoints with needs_state
-  /// false (metrics/reload manage their own locking).
-  using Handler = void (Service::*)(const Loaded* state,
+  /// one request, computed against the snapshot the request copied.
+  using Handler = void (Service::*)(const Loaded& state,
                                     const Parsed& request,
                                     RequestScratch& scratch, std::string& out);
 
@@ -214,19 +211,18 @@ class Service {
     Handler handler = nullptr;
     /// Admission-controlled compute (vs health/metrics/reload).
     bool compute = false;
-    /// Runs under the shared state lock with the Loaded bundle.
-    bool needs_state = false;
     /// Registers serve.<ep>.cache_hit/_miss counters.
     bool cached = false;
   };
   [[nodiscard]] static const std::array<EndpointEntry, kEndpointCount>&
   endpoint_table();
 
-  [[nodiscard]] static std::unique_ptr<Loaded> build_loaded(
+  /// Builds a snapshot at epoch 1 with caches at the configured
+  /// capacities. Throws std::invalid_argument when the profiles do not
+  /// match the model.
+  [[nodiscard]] std::shared_ptr<Loaded> build_loaded(
       core::SequentialModel model, core::DemandProfile trial,
-      core::DemandProfile field);
-
-  void clear_caches();
+      core::DemandProfile field) const;
 
   /// Parses one line into `request` (t0, root, id, endpoint). Returns
   /// false after writing a protocol error line (bad JSON / missing op /
@@ -238,7 +234,7 @@ class Service {
   /// Throws RequestError on violations.
   void validate_request(Parsed& request) const;
   /// Executes one validated request: admission for compute endpoints,
-  /// then the handler under the shared state lock.
+  /// then the handler on the live snapshot.
   void execute_inline(const Parsed& request, RequestScratch& scratch,
                       std::string& out);
   /// validate + execute_inline wrapped in the uniform error rendering and
@@ -247,25 +243,25 @@ class Service {
                        std::string& out);
 
   // Endpoint handlers (uniform Handler signature; rows of the table).
-  void handle_analyze(const Loaded* state, const Parsed& request,
+  void handle_analyze(const Loaded& state, const Parsed& request,
                       RequestScratch& scratch, std::string& out);
-  void handle_whatif(const Loaded* state, const Parsed& request,
+  void handle_whatif(const Loaded& state, const Parsed& request,
                      RequestScratch& scratch, std::string& out);
-  void handle_sweep(const Loaded* state, const Parsed& request,
+  void handle_sweep(const Loaded& state, const Parsed& request,
                     RequestScratch& scratch, std::string& out);
-  void handle_minimise(const Loaded* state, const Parsed& request,
+  void handle_minimise(const Loaded& state, const Parsed& request,
                        RequestScratch& scratch, std::string& out);
-  void handle_uq(const Loaded* state, const Parsed& request,
+  void handle_uq(const Loaded& state, const Parsed& request,
                  RequestScratch& scratch, std::string& out);
-  void handle_compare(const Loaded* state, const Parsed& request,
+  void handle_compare(const Loaded& state, const Parsed& request,
                       RequestScratch& scratch, std::string& out);
-  void handle_health(const Loaded* state, const Parsed& request,
+  void handle_health(const Loaded& state, const Parsed& request,
                      RequestScratch& scratch, std::string& out);
-  void handle_metrics(const Loaded* state, const Parsed& request,
+  void handle_metrics(const Loaded& state, const Parsed& request,
                       RequestScratch& scratch, std::string& out);
-  void handle_reload(const Loaded* state, const Parsed& request,
+  void handle_reload(const Loaded& state, const Parsed& request,
                      RequestScratch& scratch, std::string& out);
-  void handle_shard(const Loaded* state, const Parsed& request,
+  void handle_shard(const Loaded& state, const Parsed& request,
                     RequestScratch& scratch, std::string& out);
 
   /// Shared whatif machinery (whatif + compare): resolves a scenario spec
@@ -283,15 +279,10 @@ class Service {
   AdmissionGate gate_;
   Clock::time_point started_;
 
-  mutable std::shared_mutex state_mutex_;
-  std::unique_ptr<Loaded> state_;  // guarded by state_mutex_
-  std::atomic<std::uint64_t> epoch_{1};
+  /// Held only to copy or swap `loaded_`, never while a handler runs.
+  std::mutex loaded_mutex_;
+  std::shared_ptr<const Loaded> loaded_;  // guarded by loaded_mutex_
   std::atomic<bool> draining_{false};
-
-  mutable core::EvalCache<WhatifNumbers> whatif_cache_;
-  mutable core::EvalCache<SweepSummary> sweep_cache_;
-  mutable core::EvalCache<MinimiseNumbers> minimise_cache_;
-  mutable core::EvalCache<UqNumbers> uq_cache_;
 
   std::array<EndpointMetrics, kEndpointCount> metrics_{};
 };

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "exec/parallel.hpp"
+#include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
 
 namespace hmdiv {
@@ -293,6 +294,25 @@ TEST(ObsMacros, CountUnderParallelForIsExact) {
       kN, 64, [&](std::size_t) { HMDIV_OBS_COUNT("obs.test.parallel", 1); },
       exec::Config{8});
   EXPECT_EQ(obs::Registry::global().counter("obs.test.parallel").value(), kN);
+}
+
+TEST(ObsPool, CallerWaitIsRecordedForPooledJobs) {
+  ObsGateGuard guard;
+  obs::set_enabled(true);
+  obs::Registry::global().reset();
+  exec::ThreadPool pool(2);
+  std::atomic<std::size_t> visited{0};
+  auto body = [&](std::size_t) { visited.fetch_add(1); };
+  pool.run_indexed(64, 3, exec::FunctionRef<void(std::size_t)>(body));
+  ASSERT_EQ(visited.load(), 64U);
+  bool found = false;
+  for (const auto& h : obs::registry_snapshot().histograms) {
+    if (h.name == "exec.pool.caller_wait_ns") {
+      found = true;
+      EXPECT_GE(h.count, 1U);
+    }
+  }
+  EXPECT_TRUE(found);
 }
 #endif  // HMDIV_OBS
 

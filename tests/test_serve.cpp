@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -24,6 +25,7 @@
 
 #include "alloc_count.hpp"
 #include "core/extrapolation.hpp"
+#include "core/model_io.hpp"
 #include "core/paper_example.hpp"
 #include "exec/config.hpp"
 #include "exec/workspace.hpp"
@@ -348,14 +350,167 @@ TEST(ServeServiceTest, ReloadBumpsEpochAndInvalidatesCaches) {
   respond(service, line, scratch);
   ASSERT_NE(respond(service, line, scratch).find("\"cached\":true"),
             std::string::npos);
-  EXPECT_EQ(service.epoch(), 1u);
+  EXPECT_EQ(number_field(respond(service, "{\"op\":\"health\"}"), "epoch"),
+            1.0);
 
   service.reload(core::paper::example_model(), core::paper::trial_profile(),
                  core::paper::field_profile());
-  EXPECT_EQ(service.epoch(), 2u);
-  // Same inputs, but the cache was cleared with the swap: miss again.
+  EXPECT_EQ(number_field(respond(service, "{\"op\":\"health\"}"), "epoch"),
+            2.0);
+  // Same inputs, but the new snapshot starts with empty caches: miss again.
   EXPECT_NE(respond(service, line, scratch).find("\"cached\":false"),
             std::string::npos);
+}
+
+/// A `reload` request line carrying `model` with the paper's profiles.
+std::string reload_line(const core::SequentialModel& model) {
+  std::string line = "{\"op\":\"reload\",\"params\":{\"model\":\"";
+  serve::append_json_escaped(line, core::to_text(model));
+  line += "\",\"trial\":\"";
+  serve::append_json_escaped(line,
+                             core::to_text(core::paper::trial_profile()));
+  line += "\",\"field\":\"";
+  serve::append_json_escaped(line,
+                             core::to_text(core::paper::field_profile()));
+  line += "\"}}";
+  return line;
+}
+
+/// The paper's model with every class's machine failure probability
+/// halved, so every whatif and uq answer differs from the paper model's.
+core::SequentialModel improved_machine_model() {
+  const core::SequentialModel paper = core::paper::example_model();
+  std::vector<core::ClassConditional> parameters;
+  for (std::size_t x = 0; x < paper.class_count(); ++x) {
+    core::ClassConditional p = paper.parameters(x);
+    p.p_machine_fails *= 0.5;
+    parameters.push_back(p);
+  }
+  return core::SequentialModel(paper.class_names(), parameters);
+}
+
+TEST(ServeServiceTest, ConcurrentReloadsReportDistinctEpochs) {
+  auto service = make_service();
+  const std::string line = reload_line(core::paper::example_model());
+  constexpr int kPerThread = 8;
+  std::vector<std::string> replies[2];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      serve::RequestScratch scratch;
+      for (int i = 0; i < kPerThread; ++i) {
+        replies[t].push_back(respond(service, line, scratch));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  // Each reload reports the epoch of the snapshot it published, so the
+  // 2K replies name exactly the epochs 2 .. 1 + 2K.
+  std::vector<double> epochs;
+  for (const auto& list : replies) {
+    for (const std::string& reply : list) {
+      ASSERT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+      epochs.push_back(number_field(reply, "epoch"));
+    }
+  }
+  std::sort(epochs.begin(), epochs.end());
+  for (std::size_t i = 0; i < epochs.size(); ++i) {
+    EXPECT_EQ(epochs[i], static_cast<double>(i + 2));
+  }
+  EXPECT_EQ(epochs.back(), 1.0 + 2.0 * kPerThread);
+}
+
+TEST(ServeServiceTest, ReloadUnderLoadAnswersFromOneModel) {
+  const std::vector<std::string> lines = {
+      "{\"op\":\"whatif\",\"params\":{\"reader_factor\":1.5}}",
+      "{\"op\":\"whatif\",\"params\":{\"machine_factor\":0.5,"
+      "\"profile\":\"trial\"}}",
+      "{\"op\":\"uq\",\"params\":{\"draws\":64,\"seed\":7}}",
+  };
+  const core::SequentialModel models[2] = {core::paper::example_model(),
+                                           improved_machine_model()};
+  const std::string reloads[2] = {reload_line(models[0]),
+                                  reload_line(models[1])};
+  // expected[m][l]: line l answered by a fresh service on model m.
+  std::vector<std::string> expected[2];
+  for (int m = 0; m < 2; ++m) {
+    serve::Service reference(models[m], core::paper::trial_profile(),
+                             core::paper::field_profile());
+    for (const std::string& line : lines) {
+      expected[m].push_back(respond(reference, line));
+      ASSERT_NE(expected[m].back().find("\"cached\":false"),
+                std::string::npos)
+          << expected[m].back();
+    }
+  }
+  for (std::size_t l = 0; l < lines.size(); ++l) {
+    ASSERT_NE(expected[0][l], expected[1][l]) << lines[l];
+  }
+  // True when `reply` to line l is one model's answer, hit or miss.
+  const auto from_a_model = [&](std::string reply, std::size_t l) {
+    const std::string hit = "\"cached\":true";
+    if (const std::size_t at = reply.find(hit); at != std::string::npos) {
+      reply.replace(at, hit.size(), "\"cached\":false");
+    }
+    return reply == expected[0][l] || reply == expected[1][l];
+  };
+
+  auto service = make_service();
+  constexpr int kConnections = 3;
+  constexpr int kReloads = 30;
+  static_assert(kReloads % 2 == 0, "the paper model must be live at the end");
+  constexpr int kMinRequests = 100;
+  std::atomic<bool> reloads_done{false};
+  int answered[kConnections] = {};
+  std::vector<std::string> wrong[kConnections];
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConnections; ++c) {
+    threads.emplace_back([&, c] {
+      serve::RequestScratch scratch;
+      for (int i = 0; i < kMinRequests || !reloads_done.load(); ++i) {
+        const std::size_t l = static_cast<std::size_t>(c + i) % lines.size();
+        std::string reply = respond(service, lines[l], scratch);
+        if (!from_a_model(reply, l)) wrong[c].push_back(std::move(reply));
+        ++answered[c];
+      }
+    });
+  }
+  // Alternates the improved and the paper model; the paper model is live
+  // after an even number of reloads.
+  std::vector<std::string> reload_replies;
+  std::thread reloader([&] {
+    serve::RequestScratch scratch;
+    for (int r = 0; r < kReloads; ++r) {
+      reload_replies.push_back(respond(service, reloads[(r + 1) % 2], scratch));
+      std::this_thread::sleep_for(200us);
+    }
+    reloads_done.store(true);
+  });
+  reloader.join();
+  for (std::thread& thread : threads) thread.join();
+
+  for (const std::string& reply : reload_replies) {
+    EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+  }
+  for (int c = 0; c < kConnections; ++c) {
+    EXPECT_GE(answered[c], kMinRequests);
+    EXPECT_TRUE(wrong[c].empty())
+        << wrong[c].size() << " replies on connection " << c
+        << " match neither model, e.g. " << wrong[c].front();
+  }
+
+  // A whatif that hits before the last reload misses after it, with the
+  // final model's numbers.
+  serve::RequestScratch scratch;
+  respond(service, lines[0], scratch);
+  ASSERT_NE(respond(service, lines[0], scratch).find("\"cached\":true"),
+            std::string::npos);
+  const int final_model = 1;  // switch from the paper model
+  ASSERT_NE(respond(service, reloads[final_model], scratch)
+                .find("\"ok\":true"),
+            std::string::npos);
+  EXPECT_EQ(respond(service, lines[0], scratch), expected[final_model][0]);
 }
 
 TEST(ServeServiceTest, HealthReportsEpochAndDraining) {
