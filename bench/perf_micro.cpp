@@ -8,6 +8,7 @@
 // numbers should show close to min(4, N)x throughput.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -494,6 +495,81 @@ void BM_ServeUq(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServeUq)->Unit(benchmark::kMicrosecond);
+
+// One 256-line read burst shaped like perfbench's serve_trace mix (whatif
+// over hot keys, unique whatif and compare, sweep, minimise and uq past
+// their caches) through Service::handle_burst at 1 and 4 threads: the
+// daemon-request layer of the serve path, without the socket.
+void BM_ServeBurst(benchmark::State& state) {
+  serve::ServiceOptions options;
+  options.compute_threads = static_cast<unsigned>(state.range(0));
+  options.max_concurrent = 4;
+  options.sweep_cache_capacity = 0;
+  options.minimise_cache_capacity = 0;
+  options.uq_cache_capacity = 0;
+  serve::Service service(core::paper::example_model(),
+                         core::paper::trial_profile(),
+                         core::paper::field_profile(), options);
+  constexpr std::size_t kLines = 256;
+  std::string burst;
+  for (std::size_t i = 0; i < kLines; ++i) {
+    const std::string id = std::to_string(i + 1);
+    const std::string unique = std::to_string(0.5 + 0.001 * static_cast<double>(i));
+    switch (i % 40) {
+      case 0:
+      case 1:
+        burst += "{\"op\":\"whatif\",\"id\":" + id +
+                 ",\"params\":{\"reader_factor\":" + unique + "}}\n";
+        break;
+      case 2:
+      case 3:
+        burst += "{\"op\":\"compare\",\"id\":" + id +
+                 ",\"params\":{\"scenarios\":[{\"name\":\"a\","
+                 "\"machine_factor\":" + unique +
+                 "},{\"name\":\"b\",\"reader_factor\":" + unique + "}]}}\n";
+        break;
+      case 4:
+        burst += "{\"op\":\"sweep\",\"id\":" + id + ",\"params\":{\"lo\":" +
+                 std::to_string(-4.0 - 0.001 * static_cast<double>(i)) + ",\"hi\":4}}\n";
+        break;
+      case 5:
+        burst += "{\"op\":\"minimise\",\"id\":" + id +
+                 ",\"params\":{\"cost_fn\":" + std::to_string(400 + i) +
+                 ",\"cost_fp\":20}}\n";
+        break;
+      case 6:
+      case 7:
+        burst += "{\"op\":\"uq\",\"id\":" + id + ",\"params\":{\"seed\":" +
+                 id + "}}\n";
+        break;
+      default:
+        burst += "{\"op\":\"whatif\",\"id\":" + id +
+                 ",\"params\":{\"reader_factor\":" +
+                 std::to_string(0.5 + 0.125 * static_cast<double>(i % 8)) +
+                 ",\"machine_factor\":" +
+                 std::to_string(0.25 * static_cast<double>(1 + i % 4)) +
+                 "}}\n";
+    }
+  }
+  serve::RequestScratch scratch;
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    benchmark::DoNotOptimize(service.handle_burst(burst, scratch, out));
+  }
+  if (std::count(out.begin(), out.end(), '\n') !=
+          static_cast<std::ptrdiff_t>(kLines) ||
+      out.find("\"ok\":false") != std::string::npos) {
+    state.SkipWithError("burst request failed");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kLines));
+}
+BENCHMARK(BM_ServeBurst)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_TrialScaling(benchmark::State& state) {
   const exec::Config config{static_cast<unsigned>(state.range(0))};

@@ -57,8 +57,9 @@ class ThreadPool {
   void run_indexed(std::size_t count, unsigned max_threads,
                    FunctionRef<void(std::size_t)> fn);
 
-  /// The process-wide shared pool, sized to hardware_concurrency() − 1
-  /// helpers. Started on first use.
+  /// The process-wide shared pool: hardware_concurrency() − 1 helpers,
+  /// but at least 3, so multi-thread paths really run concurrently on
+  /// small machines. Started on first use.
   [[nodiscard]] static ThreadPool& global();
 
  private:

@@ -237,14 +237,10 @@ void Server::connection_loop(Connection& connection) {
   // shard_loop, never NDJSON. Returns false when the connection must
   // close (oversized unfinished line).
   const auto process_buffered = [&]() -> bool {
-    while (!scratch.shard_upgrade) {
-      const std::size_t newline = in.find('\n', consumed);
-      if (newline == std::string::npos) break;
-      std::string_view line(in.data() + consumed, newline - consumed);
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      if (!line.empty()) service_.handle_line(line, scratch, out);
-      consumed = newline + 1;
-    }
+    if (scratch.shard_upgrade) return true;
+    consumed += service_.handle_burst(
+        std::string_view(in.data() + consumed, in.size() - consumed), scratch,
+        out);
     if (scratch.shard_upgrade) return true;
     if (consumed == in.size()) {
       in.clear();

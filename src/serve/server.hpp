@@ -18,11 +18,12 @@
 // error response and is closed. Writes use send(MSG_NOSIGNAL) with a send
 // timeout so a stuck peer cannot wedge shutdown.
 //
-// Each complete line goes through Service::handle_line on the connection
-// thread, in arrival order; a read burst's responses flush with one send.
-// A `shard` request line ends line parsing: its response is flushed and
-// the rest of the connection, including any bytes the peer pipelined
-// behind the upgrade line, belongs to shard_loop.
+// The complete lines of each read go to Service::handle_burst, which
+// answers them in request order (a long burst side by side on the process
+// pool); the burst's responses flush with one send. A `shard` request line
+// ends line parsing: its response is flushed and the rest of the
+// connection, including any bytes the peer pipelined behind the upgrade
+// line, belongs to shard_loop.
 #pragma once
 
 #include <atomic>

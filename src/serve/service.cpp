@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
 #include "core/eval_cache.hpp"
 #include "core/model_io.hpp"
 #include "exec/config.hpp"
+#include "exec/thread_pool.hpp"
 #include "exec/workspace.hpp"
 #include "stats/rng.hpp"
 #include "stats/special.hpp"
@@ -31,6 +33,10 @@ struct RequestError {
 /// clock read, small enough that an expired request dies within ~ms.
 constexpr std::size_t kSweepChunk = 2048;
 constexpr std::size_t kMinimiseChunk = 8192;
+/// Consecutive lines per pooled burst task: enough to amortise the task
+/// handoff over cheap cache hits, few enough that a 32-line burst still
+/// spreads over 4 threads. Each task renders into one reused string.
+constexpr std::size_t kLinesPerTask = 8;
 
 /// Cap on the deadline a request may ask for.
 constexpr std::uint64_t kMaxDeadlineMs = 60'000;
@@ -348,6 +354,14 @@ std::shared_ptr<const Service::Loaded> Service::reload(
 
 // --- Request dispatch ---------------------------------------------------
 
+std::size_t Service::endpoint_index(std::string_view op) {
+  const auto& table = endpoint_table();
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (table[i].name == op) return i;
+  }
+  return kEndpointCount;
+}
+
 bool Service::parse_frame(std::string_view line, RequestScratch& scratch,
                           std::string& out, Parsed& request) {
   request.t0 = Clock::now();
@@ -374,14 +388,7 @@ bool Service::parse_frame(std::string_view line, RequestScratch& scratch,
     write_error_line(out, request.id, kBadRequest, "missing \"op\" string");
     return false;
   }
-  const auto& table = endpoint_table();
-  request.ep = kEndpointCount;
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    if (table[i].name == op->string()) {
-      request.ep = i;
-      break;
-    }
-  }
+  request.ep = endpoint_index(op->string());
   if (request.ep == kEndpointCount) {
     HMDIV_OBS_COUNT("serve.protocol.errors", 1);
     write_error_line(out, request.id, "unknown_op",
@@ -482,6 +489,108 @@ void Service::handle_line(std::string_view line, RequestScratch& scratch,
   Parsed request;
   if (!parse_frame(line, scratch, out, request)) return;
   dispatch_parsed(request, scratch, out);
+}
+
+// --- Read bursts ----------------------------------------------------------
+
+namespace {
+
+/// True when `name` occurs in `line` between two double quotes.
+bool quoted_in(std::string_view line, std::string_view name) {
+  for (std::size_t at = line.find(name); at != std::string_view::npos;
+       at = line.find(name, at + 1)) {
+    if (at > 0 && at + name.size() < line.size() && line[at - 1] == '"' &&
+        line[at + name.size()] == '"') {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+bool Service::is_barrier(std::string_view line, JsonParser& parser) {
+  // Without a backslash a JSON string's text is its value, so a line that
+  // names no barrier endpoint in quotes cannot request one; only the rest
+  // (escapes, or a quoted name anywhere) are parsed to read the op.
+  const auto& table = endpoint_table();
+  if (line.find('\\') == std::string_view::npos &&
+      std::none_of(table.begin(), table.end(), [&](const EndpointEntry& e) {
+        return !e.compute && quoted_in(line, e.name);
+      })) {
+    return false;
+  }
+  exec::Workspace& workspace = exec::thread_workspace();
+  const exec::Workspace::Scope scope(workspace);
+  const JsonParser::Result parsed = parser.parse(line, workspace);
+  const JsonValue* op =
+      parsed.value != nullptr ? parsed.value->find("op") : nullptr;
+  if (op == nullptr || !op->is_string()) return false;
+  const std::size_t ep = endpoint_index(op->string());
+  return ep != kEndpointCount && !table[ep].compute;
+}
+
+void Service::answer_lines(unsigned threads, RequestScratch& scratch,
+                           std::string& out) {
+  const std::span<const std::string_view> lines(scratch.lines);
+  if (lines.size() < kLinesPerTask * threads) {
+    for (const std::string_view line : lines) handle_line(line, scratch, out);
+    scratch.lines.clear();
+    return;
+  }
+  const std::size_t tasks = (lines.size() + kLinesPerTask - 1) / kLinesPerTask;
+  if (scratch.task_out.size() < tasks) scratch.task_out.resize(tasks);
+  exec::ThreadPool::global().run_indexed(
+      tasks, threads, [&](std::size_t task) {
+        // Every executing thread parses with its own scratch. None of these
+        // lines is a `shard` request, so shard_upgrade stays with the
+        // caller's scratch.
+        thread_local RequestScratch task_scratch;
+        std::string& task_out = scratch.task_out[task];
+        task_out.clear();
+        const std::size_t last =
+            std::min(lines.size(), (task + 1) * kLinesPerTask);
+        for (std::size_t i = task * kLinesPerTask; i < last; ++i) {
+          handle_line(lines[i], task_scratch, task_out);
+        }
+      });
+  for (std::size_t task = 0; task < tasks; ++task) {
+    out += scratch.task_out[task];
+  }
+  scratch.lines.clear();
+}
+
+std::size_t Service::handle_burst(std::string_view burst,
+                                  RequestScratch& scratch, std::string& out) {
+  const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
+      exec::Config{options_.compute_threads}.resolved_threads(),
+      gate_.options().max_concurrent));
+  // Below one task per thread the pool only adds handoffs, so the burst
+  // keeps the plain loop (and its computes spread over idle helpers).
+  const bool pooled =
+      threads > 1 && static_cast<std::size_t>(std::count(
+                         burst.begin(), burst.end(), '\n')) >=
+                         kLinesPerTask * threads;
+  scratch.lines.clear();
+  std::size_t consumed = 0;
+  while (!scratch.shard_upgrade) {
+    const std::size_t newline = burst.find('\n', consumed);
+    if (newline == std::string_view::npos) break;
+    std::string_view line = burst.substr(consumed, newline - consumed);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    consumed = newline + 1;
+    if (line.empty()) continue;
+    if (!pooled) {
+      handle_line(line, scratch, out);
+    } else if (!is_barrier(line, scratch.parser)) {
+      scratch.lines.push_back(line);
+    } else {
+      answer_lines(threads, scratch, out);
+      handle_line(line, scratch, out);
+    }
+  }
+  answer_lines(threads, scratch, out);
+  return consumed;
 }
 
 // --- Endpoint handlers --------------------------------------------------

@@ -32,9 +32,13 @@
 // for the cached endpoints; all registered once at construction and
 // gated on obs::enabled().
 //
-// Dispatch: one path per request, on the calling (connection) thread —
-// handle_line -> dispatch_parsed -> execute_inline. Handing requests to
-// other threads to batch them lost throughput on 4 cores (DESIGN.md §14).
+// Dispatch: one path per request — handle_line -> dispatch_parsed ->
+// execute_inline. handle_burst answers a read burst's lines with it, in
+// request order: a long burst runs as one job on the process pool, in
+// tasks of consecutive lines, with every non-compute request (health,
+// metrics, reload, shard) as a barrier that runs alone on the calling
+// thread. Handing single requests to other threads to batch them by
+// endpoint lost throughput on 4 cores (DESIGN.md §14).
 #pragma once
 
 #include <array>
@@ -74,7 +78,9 @@ struct ServiceOptions {
   /// caller included; 1 = serial per request. Defaults to the process
   /// budget (HMDIV_THREADS, else all hardware threads). Requests on
   /// different connections share the one process pool (DESIGN.md §6), so
-  /// a request gets only the helpers that are free.
+  /// a request gets only the helpers that are free. It also caps the
+  /// threads one handle_burst spreads a burst's lines over (together
+  /// with max_concurrent).
   unsigned compute_threads = exec::default_config().resolved_threads();
   /// Admission control; max_concurrent 0 = hardware concurrency.
   std::size_t max_concurrent = 0;
@@ -93,6 +99,10 @@ struct RequestScratch {
   /// §15). Only the socket server acts on it; direct handle_line callers
   /// can ignore it.
   bool shard_upgrade = false;
+  /// handle_burst's reused buffers: the compute lines waiting for the
+  /// next barrier, and one reply string per pooled task.
+  std::vector<std::string_view> lines;
+  std::vector<std::string> task_out;
 };
 
 class Service {
@@ -115,6 +125,24 @@ class Service {
   /// exactly one newline-terminated response line to `out`.
   void handle_line(std::string_view line, RequestScratch& scratch,
                    std::string& out);
+
+  /// Answers every complete line of `burst` ('\n'-terminated; a trailing
+  /// '\r' is dropped and blank lines are skipped) through handle_line and
+  /// appends the replies to `out` in request order. Stops after a `shard`
+  /// line, whose upgrade sets scratch.shard_upgrade. Returns the bytes
+  /// consumed: up to the end of the last line answered.
+  ///
+  /// A burst of at least 8 lines per thread runs on the process pool
+  /// over min(compute_threads, max_concurrent) threads, in tasks of 8
+  /// consecutive lines (kLinesPerTask); the uq, sweep and minimise
+  /// inside a task then compute inline. A non-compute request is a
+  /// barrier: the lines before it are answered first, it runs alone on
+  /// the calling thread, and the lines after it see its effects. Shorter
+  /// bursts answer line by line on the calling thread. Either way each
+  /// reply is handle_line's for that line; only a `cached` flag can
+  /// differ, since pooled lines reach the shared caches in another order.
+  std::size_t handle_burst(std::string_view burst, RequestScratch& scratch,
+                           std::string& out);
 
   /// Publishes a snapshot of the new model at the next epoch, with empty
   /// result caches, and returns it. Requests already running finish on
@@ -223,6 +251,16 @@ class Service {
   [[nodiscard]] std::shared_ptr<Loaded> build_loaded(
       core::SequentialModel model, core::DemandProfile trial,
       core::DemandProfile field) const;
+
+  /// Index of the endpoint named `op`, or kEndpointCount.
+  [[nodiscard]] static std::size_t endpoint_index(std::string_view op);
+  /// True when `line` requests a non-compute endpoint (a burst barrier).
+  [[nodiscard]] static bool is_barrier(std::string_view line,
+                                       JsonParser& parser);
+  /// Answers scratch.lines in order (pooled when there are at least 8
+  /// per thread) and clears them.
+  void answer_lines(unsigned threads, RequestScratch& scratch,
+                    std::string& out);
 
   /// Parses one line into `request` (t0, root, id, endpoint). Returns
   /// false after writing a protocol error line (bad JSON / missing op /

@@ -505,10 +505,16 @@ TEST(ClusterUpgradeTest, FramePipelinedBehindTheUpgradeLineIsNeverNdjson) {
   // A coordinator may send the upgrade line and its first task frame in
   // one write. Every byte behind the upgrade line is HMDF, so a newline
   // inside the frame must not be read as a request line: the reply is the
-  // upgrade response, then exactly one result and one done frame.
+  // upgrade response, then exactly one result and one done frame. The
+  // same write leads with 40 whatif lines, enough for the daemon to
+  // answer them on the pool at four threads; each gets its reply, in
+  // order, before the upgrade response.
+  serve::ServiceOptions options;
+  options.compute_threads = 4;
+  options.max_concurrent = 4;
   serve::Service service(core::paper::example_model(),
                          core::paper::trial_profile(),
-                         core::paper::field_profile(), {});
+                         core::paper::field_profile(), options);
   serve::Server server(service, {});
   server.start();
 
@@ -524,7 +530,14 @@ TEST(ClusterUpgradeTest, FramePipelinedBehindTheUpgradeLineIsNeverNdjson) {
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
             0);
 
-  std::string burst(exec::kShardUpgradeLine);
+  constexpr std::size_t kLeadingLines = 40;
+  std::string burst;
+  for (std::size_t i = 0; i < kLeadingLines; ++i) {
+    burst += "{\"op\":\"whatif\",\"id\":" + std::to_string(i) +
+             ",\"params\":{\"reader_factor\":" + std::to_string(1 + i % 3) +
+             "}}\n";
+  }
+  burst += exec::kShardUpgradeLine;
   const std::vector<std::uint8_t> frame =
       task_frame("cluster.echo", 0, 1, false, {'\n', 'x', '\n'});
   burst.append(frame.begin(), frame.end());
@@ -544,9 +557,20 @@ TEST(ClusterUpgradeTest, FramePipelinedBehindTheUpgradeLineIsNeverNdjson) {
   ::close(fd);
   server.shutdown();
 
-  const std::size_t newline = reply.find('\n');
+  std::size_t line_start = 0;
+  for (std::size_t i = 0; i < kLeadingLines; ++i) {
+    const std::size_t end = reply.find('\n', line_start);
+    ASSERT_NE(end, std::string::npos) << reply;
+    const std::string line = reply.substr(line_start, end - line_start);
+    EXPECT_EQ(line.rfind("{\"id\":" + std::to_string(i) + ",\"ok\":true", 0),
+              0u)
+        << line;
+    line_start = end + 1;
+  }
+  const std::size_t newline = reply.find('\n', line_start);
   ASSERT_NE(newline, std::string::npos) << reply;
-  EXPECT_NE(reply.substr(0, newline).find("\"shard\":\"ready\""),
+  EXPECT_NE(reply.substr(line_start, newline - line_start)
+                .find("\"shard\":\"ready\""),
             std::string::npos)
       << reply;
   const std::string_view frame_bytes =

@@ -513,6 +513,188 @@ TEST(ServeServiceTest, ReloadUnderLoadAnswersFromOneModel) {
   EXPECT_EQ(respond(service, lines[0], scratch), expected[final_model][0]);
 }
 
+// --- read bursts ----------------------------------------------------------
+
+/// `count` request lines shaped like the serve_trace mix: whatif over 8
+/// hot keys, unique whatif and compare, sweep, minimise, uq and analyze,
+/// with one malformed line and one unknown op among them.
+std::vector<std::string> burst_mix(std::size_t count) {
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::string id = "\"id\":" + std::to_string(i);
+    const std::string unique = std::to_string(0.5 + 0.001 * static_cast<double>(i));
+    std::string line;
+    switch (i % 32) {
+      case 24:
+        line = "{\"op\":\"whatif\"," + id + ",\"params\":{\"reader_factor\":" +
+               unique + ",\"profile\":\"trial\"}}";
+        break;
+      case 25:
+        line = "{\"op\":\"compare\"," + id +
+               ",\"params\":{\"scenarios\":[{\"name\":\"a\","
+               "\"machine_factor\":" + unique +
+               "},{\"name\":\"b\",\"reader_factor\":" + unique + "}]}}";
+        break;
+      case 26:
+        line = "{\"op\":\"sweep\"," + id + ",\"params\":{\"lo\":" +
+               std::to_string(-4.0 - 0.001 * static_cast<double>(i % 16)) + ",\"hi\":4}}";
+        break;
+      case 27:
+        line = "{\"op\":\"minimise\"," + id + ",\"params\":{\"cost_fn\":" +
+               std::to_string(400 + i) + ",\"cost_fp\":20}}";
+        break;
+      case 28:
+        line = "{\"op\":\"uq\"," + id + ",\"params\":{\"seed\":" +
+               std::to_string(i) + "}}";
+        break;
+      case 29:
+        line = "{\"op\":\"analyze\"," + id + "}";
+        break;
+      default:
+        line = "{\"op\":\"whatif\"," + id + ",\"params\":{\"reader_factor\":" +
+               std::to_string(1.0 + 0.25 * static_cast<double>(i % 8)) + ",\"machine_factor\":" +
+               std::to_string(0.5 + 0.125 * static_cast<double>(i % 4)) + "}}";
+    }
+    lines.push_back(std::move(line));
+  }
+  lines[count / 3] = "{\"op\":\"whatif\",\"id\":";  // malformed
+  lines[count / 2] = "{\"op\":\"forecast\",\"id\":7}";
+  return lines;
+}
+
+std::string joined(const std::vector<std::string>& lines) {
+  std::string burst;
+  for (const std::string& line : lines) burst += line + "\n";
+  return burst;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  for (std::size_t from = 0, nl; (nl = text.find('\n', from)) !=
+                                 std::string::npos;
+       from = nl + 1) {
+    lines.push_back(text.substr(from, nl - from));
+  }
+  return lines;
+}
+
+std::string without_cached_flag(std::string reply) {
+  const std::string hit = "\"cached\":true";
+  for (std::size_t at; (at = reply.find(hit)) != std::string::npos;) {
+    reply.replace(at, hit.size(), "\"cached\":false");
+  }
+  return reply;
+}
+
+/// Four burst threads whatever the host: the pooled path runs even where
+/// the default budget or the hardware concurrency is 1.
+serve::ServiceOptions four_thread_bursts() {
+  serve::ServiceOptions options;
+  options.compute_threads = 4;
+  options.max_concurrent = 4;
+  return options;
+}
+
+serve::ServiceOptions uncached(serve::ServiceOptions options) {
+  options.whatif_cache_capacity = 0;
+  options.sweep_cache_capacity = 0;
+  options.minimise_cache_capacity = 0;
+  options.uq_cache_capacity = 0;
+  return options;
+}
+
+TEST(ServeServiceTest, BurstMatchesSerialLineByLine) {
+  const std::vector<std::string> lines = burst_mix(256);
+  const std::string burst = joined(lines);
+  for (const bool caches : {false, true}) {
+    const serve::ServiceOptions options =
+        caches ? four_thread_bursts() : uncached(four_thread_bursts());
+    auto reference = make_service(options);
+    serve::RequestScratch reference_scratch;
+    std::string want;
+    for (const std::string& line : lines) {
+      reference.handle_line(line, reference_scratch, want);
+    }
+
+    auto service = make_service(options);
+    serve::RequestScratch scratch;
+    std::string got;
+#if HMDIV_OBS
+    const ObsGuard obs_on(true);
+    const obs::Counter& jobs = obs::Registry::global().counter("exec.pool.jobs");
+    const std::uint64_t jobs_before = jobs.value();
+#endif
+    ASSERT_EQ(service.handle_burst(burst, scratch, got), burst.size());
+#if HMDIV_OBS
+    // No barrier in the burst: one pool job, every compute inline in it.
+    EXPECT_EQ(jobs.value() - jobs_before, 1u);
+#endif
+    const std::vector<std::string> got_lines = split_lines(got);
+    const std::vector<std::string> want_lines = split_lines(want);
+    ASSERT_EQ(got_lines.size(), lines.size());
+    ASSERT_EQ(want_lines.size(), lines.size());
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (caches) {
+        EXPECT_EQ(without_cached_flag(got_lines[i]),
+                  without_cached_flag(want_lines[i]))
+            << "line " << i << ": " << lines[i];
+      } else {
+        EXPECT_EQ(got_lines[i], want_lines[i])
+            << "line " << i << ": " << lines[i];
+      }
+    }
+    EXPECT_TRUE(has_error_code(got_lines[lines.size() / 3], "bad_request"));
+    EXPECT_TRUE(has_error_code(got_lines[lines.size() / 2], "unknown_op"));
+  }
+}
+
+TEST(ServeServiceTest, BurstRunsBarriersInOrder) {
+  // 64 lines on the paper model, a reload to a model with every PMf
+  // halved, 64 more lines and a health check, all in one burst. The
+  // reload's op is spelled with a JSON escape, so only an exact parse of
+  // the line can tell that it is a barrier.
+  const std::vector<std::string> head = burst_mix(64);
+  const std::vector<std::string> tail = burst_mix(64);
+  std::string reload = reload_line(improved_machine_model());
+  const std::string op = "\"op\":\"reload\"";
+  ASSERT_EQ(reload.find(op), 1u);
+  reload.replace(1, op.size(), "\"op\":\"\\u0072eload\"");
+
+  std::string burst = joined(head) + reload + "\n" + joined(tail) +
+                      "{\"op\":\"health\",\"id\":\"last\"}\r\n";
+  const serve::ServiceOptions options = uncached(four_thread_bursts());
+  auto service = make_service(options);
+  serve::RequestScratch scratch;
+  std::string got;
+  ASSERT_EQ(service.handle_burst(burst, scratch, got), burst.size());
+  const std::vector<std::string> got_lines = split_lines(got);
+  ASSERT_EQ(got_lines.size(), head.size() + tail.size() + 2);
+
+  const core::SequentialModel models[2] = {core::paper::example_model(),
+                                           improved_machine_model()};
+  std::size_t at = 0;
+  for (int m = 0; m < 2; ++m) {
+    serve::Service reference(models[m], core::paper::trial_profile(),
+                             core::paper::field_profile(), options);
+    serve::RequestScratch reference_scratch;
+    for (const std::string& line : m == 0 ? head : tail) {
+      EXPECT_EQ(got_lines[at] + "\n", respond(reference, line,
+                                              reference_scratch))
+          << "model " << m << " line " << at << ": " << line;
+      ++at;
+    }
+    if (m == 0) {
+      EXPECT_NE(got_lines[at].find("\"ok\":true"), std::string::npos)
+          << got_lines[at];
+      EXPECT_EQ(number_field(got_lines[at], "epoch"), 2.0);
+      ++at;
+    }
+  }
+  EXPECT_NE(got_lines[at].find("\"id\":\"last\""), std::string::npos)
+      << got_lines[at];
+  EXPECT_EQ(number_field(got_lines[at], "epoch"), 2.0);
+}
+
 TEST(ServeServiceTest, HealthReportsEpochAndDraining) {
   auto service = make_service();
   std::string out = respond(service, "{\"op\":\"health\"}");
@@ -855,6 +1037,42 @@ TEST(ServeServerTest, ConcurrentPooledComputeMatchesSerialService) {
       reference.handle_line(conn_lines[c][k], scratch, want);
       EXPECT_EQ(got[c][k] + "\n", want)
           << "connection " << c << " line " << k << ": " << conn_lines[c][k];
+    }
+  }
+}
+
+TEST(ServeServerTest, BurstFromOneConnectionIsNeverShed) {
+  // With no admission queue, a burst spread over more threads than the
+  // gate admits would shed its own lines. At one slot the burst runs
+  // serially, at two it runs on two threads; neither sheds.
+  for (const std::size_t slots : {1, 2}) {
+    serve::ServiceOptions options = uncached(four_thread_bursts());
+    options.max_concurrent = slots;
+    options.max_queue = 0;
+    auto service = make_service(options);
+    serve::Server server(service, {});
+    server.start();
+    const int fd = connect_to(server.port());
+    ASSERT_GE(fd, 0);
+    std::vector<std::string> lines;
+    for (int i = 0; i < 64; ++i) {
+      lines.push_back(i % 4 == 3
+                          ? "{\"op\":\"uq\",\"id\":" + std::to_string(i) +
+                                ",\"params\":{\"draws\":256}}"
+                          : "{\"op\":\"whatif\",\"id\":" +
+                                std::to_string(i) + "}");
+    }
+    ASSERT_TRUE(send_str(fd, joined(lines)));
+    const std::vector<std::string> replies = read_lines(fd, lines.size());
+    ::close(fd);
+    server.shutdown();
+    ASSERT_EQ(replies.size(), lines.size()) << slots << " slots";
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+      EXPECT_NE(replies[i].find("\"ok\":true"), std::string::npos)
+          << slots << " slots: " << replies[i];
+      EXPECT_NE(replies[i].find("\"id\":" + std::to_string(i) + ","),
+                std::string::npos)
+          << replies[i];
     }
   }
 }
